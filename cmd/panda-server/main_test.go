@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/pglp/panda/internal/server"
+	"github.com/pglp/panda/internal/server/storage/storagetest"
 	"github.com/pglp/panda/internal/server/wire"
 )
 
@@ -227,9 +228,7 @@ func TestBadFlags(t *testing.T) {
 		{"-rows", "0"},
 		{"-policy", "bogus"},
 		{"-addr", "not-an-address"},
-		{"-backend", "bolt", "-data-dir", t.TempDir()}, // unknown backend
-		{"-backend", "kv"},                             // backend without a data dir
-		{"-backend", "wal"},                            // even the default name needs one
+		{"-backend", "wal", "-data-dir", t.TempDir()}, // the removed store selector
 	} {
 		if err := run(ctx, args, nil); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
@@ -237,94 +236,17 @@ func TestBadFlags(t *testing.T) {
 	}
 }
 
-// TestBackendDirMismatchRefused: pointing -backend=kv at a WAL data dir
-// (or -backend=wal at a kv dir) must fail before serving, with an error
-// naming the backend that can open it.
-func TestBackendDirMismatchRefused(t *testing.T) {
-	lay := func(backendArg string) string {
-		t.Helper()
-		dir := t.TempDir()
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		args := []string{"-addr", "127.0.0.1:0", "-rows", "4", "-cols", "4", "-data-dir", dir}
-		if backendArg != "" {
-			args = append(args, "-backend", backendArg)
-		}
-		_, errCh := launch(t, ctx, args)
-		cancel()
-		if err := <-errCh; err != nil {
-			t.Fatalf("laying out %q dir: %v", backendArg, err)
-		}
-		return dir
-	}
-
-	walDir := lay("") // default backend = wal
-	err := run(context.Background(), []string{"-addr", "127.0.0.1:0", "-data-dir", walDir, "-backend", "kv"}, nil)
-	if err == nil || !strings.Contains(err.Error(), "-backend=wal") {
-		t.Errorf("kv on wal dir: err = %v, want refusal naming -backend=wal", err)
-	}
-
-	kvDir := lay("kv")
-	err = run(context.Background(), []string{"-addr", "127.0.0.1:0", "-data-dir", kvDir, "-backend", "wal"}, nil)
-	if err == nil || !strings.Contains(err.Error(), "-backend=kv") {
-		t.Errorf("wal on kv dir: err = %v, want refusal naming -backend=kv", err)
-	}
-}
-
-// TestKVBackendRestart: the -backend=kv acceptance scenario — reports
-// ingested before a graceful shutdown are served after a relaunch on
-// the same -data-dir, exactly like the WAL path of
-// TestRestartDurability.
-func TestKVBackendRestart(t *testing.T) {
-	dataDir := t.TempDir()
-	args := []string{"-addr", "127.0.0.1:0", "-rows", "8", "-cols", "8",
-		"-data-dir", dataDir, "-backend", "kv", "-shutdown-grace", "5s"}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	base, errCh := launch(t, ctx, args)
-	client := server.NewClient(base, nil)
-	const users, steps = 4, 10
-	for u := 0; u < users; u++ {
-		releases := make([]wire.Release, steps)
-		for i := range releases {
-			releases[i] = wire.Release{T: i, X: float64((u + i) % 8), Y: float64(u % 8)}
-		}
-		if _, err := client.ReportBatch(u, releases); err != nil {
-			t.Fatalf("user %d: ReportBatch: %v", u, err)
-		}
-	}
-	cancel()
-	select {
-	case err := <-errCh:
-		if err != nil {
-			t.Fatalf("graceful shutdown: %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("server did not shut down")
-	}
-
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	defer cancel2()
-	base2, errCh2 := launch(t, ctx2, args)
-	client2 := server.NewClient(base2, nil)
-	for u := 0; u < users; u++ {
-		recs, err := client2.Records(u)
-		if err != nil {
-			t.Fatalf("user %d: Records after restart: %v", u, err)
-		}
-		if len(recs) != steps {
-			t.Fatalf("user %d: %d records after restart, want %d", u, len(recs), steps)
-		}
-	}
-	cancel2()
-	select {
-	case err := <-errCh2:
-		if err != nil {
-			t.Fatalf("second shutdown: %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("second instance did not shut down")
+// TestRemovedLayoutsRefused: a -data-dir in a removed format — a kv
+// (LSM) backend directory or a pre-stripe single log — fails before
+// serving, with an error naming the files found, and is left
+// byte-identical.
+func TestRemovedLayoutsRefused(t *testing.T) {
+	for _, l := range storagetest.RemovedLayouts() {
+		t.Run(l.Name, func(t *testing.T) {
+			dir := l.Build(t)
+			err := run(context.Background(), []string{"-addr", "127.0.0.1:0", "-rows", "4", "-cols", "4", "-data-dir", dir}, nil)
+			l.Check(t, dir, err)
+		})
 	}
 }
 

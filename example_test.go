@@ -30,17 +30,16 @@ func ExampleNewSystem() {
 	// stored records: 1
 }
 
-// ExampleOptions_backend shows the durable store across a restart —
-// the same code works with Backend "wal" (the default) or "kv", and
-// the records outlive the System that wrote them.
-func ExampleOptions_backend() {
-	dir, err := os.MkdirTemp("", "panda-kv-*")
+// ExampleOptions_dataDir shows the durable store across a restart:
+// with DataDir set, every release goes through the striped write-ahead
+// log, and the records outlive the System that wrote them.
+func ExampleOptions_dataDir() {
+	dir, err := os.MkdirTemp("", "panda-data-*")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	opts := panda.Options{Rows: 8, Cols: 8, CellSize: 1, Epsilon: 1,
-		DataDir: dir, Backend: "kv"}
+	opts := panda.Options{Rows: 8, Cols: 8, CellSize: 1, Epsilon: 1, DataDir: dir}
 
 	sys, err := panda.NewSystem(opts)
 	if err != nil {

@@ -1,96 +1,51 @@
-// Package backend dispatches durable record stores by name — the one
-// place that knows every disk backend behind the storage.Store seam.
-// Callers (the panda facade, cmd/panda-server) name a backend and get
-// a storage.Durable back; they never import wal or lsm directly, so
-// adding a backend is a change here, not in every embedder.
+// Package backend opens the durable record store: the striped
+// write-ahead log (internal/server/storage/wal), returned through the
+// storage.Durable seam so callers (the panda facade, the benchmark
+// harness) depend on the contract, not on the WAL's own types.
 //
-// Two backends exist:
-//
-//	"wal" — the striped write-ahead log (internal/server/storage/wal):
-//	        one append log per memory shard, per-stripe snapshots and
-//	        compaction. The default, and the only backend before the
-//	        seam existed, so "" selects it.
-//	"kv"  — the LSM-style embedded store (internal/server/storage/lsm):
-//	        one append log plus sorted-run SSTables merged in the
-//	        background. "lsm" is accepted as an alias.
-//
-// Every backend refuses a directory laid out by another backend with
-// an error naming the backend that can open it — Open never guesses,
-// and never modifies a directory it refuses. PERSISTENCE.md documents
-// how to choose.
+// The WAL is the only durable store. Open refuses a directory laid out
+// by a removed format — the kv (LSM) backend, or the pre-stripe single
+// log — with an error naming the files it found, and never modifies a
+// directory it refuses. PERSISTENCE.md documents both refusals.
 package backend
 
 import (
 	"fmt"
 
 	"github.com/pglp/panda/internal/server/storage"
-	"github.com/pglp/panda/internal/server/storage/lsm"
 	"github.com/pglp/panda/internal/server/storage/wal"
 )
 
-// Canonical backend names (post-Normalize).
-const (
-	WAL = "wal" // striped write-ahead log, the default
-	KV  = "kv"  // LSM-style embedded store
-)
+// WAL names the striped write-ahead log, the one durable store.
+const WAL = "wal"
 
-// Normalize resolves a user-supplied backend name to its canonical
-// form: "" and "wal" select the WAL, "kv" and "lsm" select the LSM
-// store, anything else is an error listing the valid names.
-func Normalize(name string) (string, error) {
-	switch name {
-	case "", WAL:
-		return WAL, nil
-	case KV, "lsm":
-		return KV, nil
-	default:
-		return "", fmt.Errorf("backend: unknown backend %q (valid: %q, %q)", name, WAL, KV)
-	}
-}
-
-// Options carry the backend-agnostic durability knobs; each backend
-// maps them onto its own Options.
+// Options carry the durability knobs, mapped onto wal.Options.
 type Options struct {
-	// Shards is the memory fan-out. The WAL also uses it as the stripe
-	// count (pinned by the directory on first use); the lsm layout is
-	// shard-agnostic.
+	// Shards is the memory fan-out and the WAL stripe count, pinned by
+	// the directory's MANIFEST on first use (0 adopts an existing
+	// directory's count).
 	Shards int
 	// SyncEveryWrite selects fsync-before-acknowledge (group commit)
 	// instead of the buffered default.
 	SyncEveryWrite bool
 }
 
-// Open opens (creating or recovering) the named backend's store in
-// dir. The name is Normalized first; a directory laid out by a
-// different backend is refused with an error naming the right one.
+// Open opens (creating or recovering) the WAL store in dir. name must
+// be "" or WAL; anything else is an error, returned before the
+// directory is touched.
 func Open(name, dir string, o Options) (storage.Durable, error) {
-	name, err := Normalize(name)
+	if name != "" && name != WAL {
+		return nil, fmt.Errorf("backend: unknown backend %q (the only durable store is %q)", name, WAL)
+	}
+	sync := wal.SyncBuffered
+	if o.SyncEveryWrite {
+		sync = wal.SyncAlways
+	}
+	// A bare `return wal.Open(...)` would wrap a typed nil pointer in a
+	// non-nil interface on failure.
+	s, err := wal.Open(dir, wal.Options{Shards: o.Shards, Sync: sync})
 	if err != nil {
 		return nil, err
 	}
-	// Return the concrete stores through a checked indirection: a bare
-	// `return wal.Open(...)` would wrap a typed nil pointer in a
-	// non-nil interface on failure.
-	switch name {
-	case WAL:
-		sync := wal.SyncBuffered
-		if o.SyncEveryWrite {
-			sync = wal.SyncAlways
-		}
-		s, err := wal.Open(dir, wal.Options{Shards: o.Shards, Sync: sync})
-		if err != nil {
-			return nil, err
-		}
-		return s, nil
-	default: // KV
-		sync := lsm.SyncBuffered
-		if o.SyncEveryWrite {
-			sync = lsm.SyncAlways
-		}
-		s, err := lsm.Open(dir, lsm.Options{Shards: o.Shards, Sync: sync})
-		if err != nil {
-			return nil, err
-		}
-		return s, nil
-	}
+	return s, nil
 }

@@ -1,12 +1,18 @@
 package backend_test
 
 import (
+	"cmp"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/pglp/panda/internal/geo"
 	"github.com/pglp/panda/internal/server/storage"
 	"github.com/pglp/panda/internal/server/storage/backend"
+	"github.com/pglp/panda/internal/server/storage/storagetest"
+	"github.com/pglp/panda/internal/server/storage/wal"
 )
 
 func rec(user, t, cell int) storage.Record {
@@ -16,35 +22,18 @@ func rec(user, t, cell int) storage.Record {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	cases := []struct {
-		in, want string
-		wantErr  bool
-	}{
-		{"", "wal", false},
-		{"wal", "wal", false},
-		{"kv", "kv", false},
-		{"lsm", "kv", false},
-		{"bolt", "", true},
-		{"WAL", "", true}, // names are case-sensitive, like flag values
-	}
-	for _, c := range cases {
-		got, err := backend.Normalize(c.in)
-		if (err != nil) != c.wantErr || got != c.want {
-			t.Errorf("Normalize(%q) = %q, %v; want %q, err=%v", c.in, got, err, c.want, c.wantErr)
-		}
-	}
-}
-
-// TestOpenRoundTrip: both named backends open, persist, and recover
-// through the same storage.Durable seam.
+// TestOpenRoundTrip: the default name and "wal" both open the WAL,
+// which persists and recovers through the storage.Durable seam.
 func TestOpenRoundTrip(t *testing.T) {
-	for _, name := range []string{"wal", "kv"} {
-		t.Run(name, func(t *testing.T) {
+	for _, name := range []string{"", backend.WAL} {
+		t.Run(cmp.Or(name, "default"), func(t *testing.T) {
 			dir := t.TempDir()
 			s, err := backend.Open(name, dir, backend.Options{Shards: 2})
 			if err != nil {
 				t.Fatalf("Open: %v", err)
+			}
+			if _, ok := s.(*wal.Store); !ok {
+				t.Fatalf("Open(%q) returned a %T, want *wal.Store", name, s)
 			}
 			for i := 0; i < 20; i++ {
 				s.Insert(rec(i, i%4, i))
@@ -73,50 +62,31 @@ func TestOpenRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUnknownBackendRefused: a typo'd backend fails loudly, before any
+// TestUnknownBackendRefused: any name but "" and "wal" — including the
+// removed kv backend and its "lsm" alias — fails loudly, before the
 // directory is touched.
 func TestUnknownBackendRefused(t *testing.T) {
-	if _, err := backend.Open("bolt", t.TempDir(), backend.Options{}); err == nil ||
-		!strings.Contains(err.Error(), `unknown backend "bolt"`) {
-		t.Fatalf("Open(bolt) = %v, want unknown-backend error", err)
+	for _, name := range []string{"kv", "lsm", "bolt", "WAL"} {
+		dir := filepath.Join(t.TempDir(), "data")
+		_, err := backend.Open(name, dir, backend.Options{})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown backend %q", name)) {
+			t.Errorf("Open(%q) = %v, want unknown-backend error", name, err)
+		}
+		if _, serr := os.Stat(dir); !os.IsNotExist(serr) {
+			t.Errorf("Open(%q) created %s before refusing", name, dir)
+		}
 	}
 }
 
-// TestCrossBackendRefusal: each backend refuses the other's directory
-// with an error that names the backend that CAN open it.
-func TestCrossBackendRefusal(t *testing.T) {
-	lay := func(name string) string {
-		t.Helper()
-		dir := t.TempDir()
-		s, err := backend.Open(name, dir, backend.Options{})
-		if err != nil {
-			t.Fatalf("laying out %s dir: %v", name, err)
-		}
-		s.Insert(rec(1, 0, 2))
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return dir
-	}
-
-	walDir := lay("wal")
-	if _, err := backend.Open("kv", walDir, backend.Options{}); err == nil ||
-		!strings.Contains(err.Error(), "-backend=wal") {
-		t.Fatalf("kv on wal dir = %v, want refusal naming -backend=wal", err)
-	}
-
-	kvDir := lay("kv")
-	if _, err := backend.Open("wal", kvDir, backend.Options{}); err == nil ||
-		!strings.Contains(err.Error(), "-backend=kv") {
-		t.Fatalf("wal on kv dir = %v, want refusal naming -backend=kv", err)
-	}
-	// Refusal must not have modified the kv dir: it still opens cleanly.
-	s, err := backend.Open("kv", kvDir, backend.Options{})
-	if err != nil {
-		t.Fatalf("kv dir damaged by wal refusal: %v", err)
-	}
-	defer s.Close()
-	if s.Len() != 1 {
-		t.Fatalf("kv dir lost records after wal refusal: Len=%d", s.Len())
+// TestRemovedLayoutRefusal: a kv-layout or pre-stripe directory is
+// refused through the opener with an error naming the files found, and
+// left byte-identical.
+func TestRemovedLayoutRefusal(t *testing.T) {
+	for _, l := range storagetest.RemovedLayouts() {
+		t.Run(l.Name, func(t *testing.T) {
+			dir := l.Build(t)
+			_, err := backend.Open(backend.WAL, dir, backend.Options{})
+			l.Check(t, dir, err)
+		})
 	}
 }

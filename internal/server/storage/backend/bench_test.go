@@ -1,8 +1,8 @@
 package backend_test
 
 // Backend benchmark matrix: the same workload against every store
-// behind the storage.Store seam — the two in-memory stores and both
-// durable backends — so the cost of each durability rung is one
+// behind the storage.Store seam — the two in-memory stores and the
+// durable WAL — so the cost of each durability rung is one
 // column-to-column read. CI records the run as the bench-backends.txt
 // artifact (scripts/bench-backends.sh) and folds it into
 // bench-trend.json; PERSISTENCE.md keeps a measured table.
@@ -32,7 +32,7 @@ func matrixStore(b *testing.B, name string) (storage.Store, func() error) {
 		return storage.NewMemStore(), func() error { return nil }
 	case "sharded":
 		return storage.NewShardedStore(8), func() error { return nil }
-	default: // "wal", "kv"
+	default: // "wal"
 		s, err := backend.Open(name, b.TempDir(), backend.Options{Shards: 8})
 		if err != nil {
 			b.Fatal(err)
@@ -41,7 +41,7 @@ func matrixStore(b *testing.B, name string) (storage.Store, func() error) {
 	}
 }
 
-var matrixNames = []string{"mem", "sharded", "wal", "kv"}
+var matrixNames = []string{"mem", "sharded", backend.WAL}
 
 // fill loads n records across 100 users so every backend benchmark
 // reads the same shape: user-major batches, timestamps 0..n/100.
@@ -58,9 +58,8 @@ func fill(b *testing.B, s storage.Store, n int) {
 }
 
 // BenchmarkBackendIngest: 100-record batch inserts, the drain worker's
-// write shape. Buffered durability for wal/kv (the fsync column is
-// wal's BenchmarkInsertBatch100WALFsync; the lsm log uses the same
-// group-commit protocol).
+// write shape. Buffered durability for the WAL (the fsync column is
+// wal's BenchmarkInsertBatch100WALFsync).
 func BenchmarkBackendIngest(b *testing.B) {
 	for _, name := range matrixNames {
 		b.Run(name, func(b *testing.B) {
@@ -109,40 +108,40 @@ func BenchmarkBackendScanRange(b *testing.B) {
 	}
 }
 
-// BenchmarkBackendReopen: recovery speed for a 50k-record directory,
-// durable backends only. disk_B/rec reports bytes on disk per live
-// record — 56 is the codec floor; the gap above it is log/run garbage
-// that compaction hasn't reclaimed yet.
+// BenchmarkBackendReopen: recovery speed for a 50k-record WAL
+// directory. disk_B/rec reports bytes on disk per live record — 56 is
+// the codec floor; the gap above it is log garbage that compaction
+// hasn't reclaimed yet. It is reported after the timed loop because
+// ResetTimer discards metrics reported before it.
 func BenchmarkBackendReopen(b *testing.B) {
 	const n = 50_000
-	for _, name := range []string{"wal", "kv"} {
-		b.Run(name, func(b *testing.B) {
-			dir := b.TempDir()
-			s, err := backend.Open(name, dir, backend.Options{Shards: 8})
+	b.Run(backend.WAL, func(b *testing.B) {
+		dir := b.TempDir()
+		s, err := backend.Open(backend.WAL, dir, backend.Options{Shards: 8})
+		if err != nil {
+			b.Fatal(err)
+		}
+		fill(b, s, n)
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			back, err := backend.Open(backend.WAL, dir, backend.Options{Shards: 8})
 			if err != nil {
 				b.Fatal(err)
 			}
-			fill(b, s, n)
-			if err := s.Close(); err != nil {
+			if back.Len() != n {
+				b.Fatalf("recovered %d records, want %d", back.Len(), n)
+			}
+			if err := back.Close(); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(float64(dirBytes(b, dir))/n, "disk_B/rec")
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				back, err := backend.Open(name, dir, backend.Options{Shards: 8})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if back.Len() != n {
-					b.Fatalf("recovered %d records, want %d", back.Len(), n)
-				}
-				if err := back.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(dirBytes(b, dir))/n, "disk_B/rec")
+	})
 }
 
 func dirBytes(b *testing.B, dir string) int64 {

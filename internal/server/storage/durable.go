@@ -1,13 +1,12 @@
 package storage
 
-// Durable is the contract a persistent backend adds on top of Store.
-// Both disk-backed implementations — the striped WAL
-// (internal/server/storage/wal) and the LSM-style KV store
-// (internal/server/storage/lsm) — satisfy it, and the backend
-// dispatcher (internal/server/storage/backend) returns it so callers
-// (the panda facade, cmd/panda-server) stay backend-agnostic.
+// Durable is the contract a persistent store adds on top of Store. The
+// striped WAL (internal/server/storage/wal) implements it, and the
+// opener (internal/server/storage/backend) returns it so the panda
+// facade depends on the contract, not on the WAL's types — and so
+// tests and the benchmark harness can wrap or substitute the store.
 //
-// The durability semantics every implementation must honor:
+// The durability semantics an implementation must honor:
 //
 //   - Writes accepted by Insert/InsertBatch are recovered by a later
 //     reopen of the same directory, up to the configured sync policy
@@ -16,8 +15,8 @@ package storage
 //   - Err reports the first append failure and is sticky; once it
 //     returns non-nil the store no longer guarantees durability for
 //     new writes and callers should fail-stop ingest.
-//   - CompactErr reports background maintenance failures
-//     (compaction, flush, merge). These are retried and do not void
+//   - CompactErr reports background maintenance (compaction)
+//     failures. These are retried and do not void
 //     the durability of acknowledged writes, but operators should
 //     see them: disk usage grows until the cause clears.
 //   - Close flushes and fsyncs buffered state; after a clean Close,

@@ -7,8 +7,8 @@ import (
 
 // WriteFileAtomic writes name into dir via tmp + fsync + rename +
 // directory fsync, so the file is either absent or complete — never
-// torn — regardless of where a crash lands. Both durable backends
-// (wal, lsm) commit their manifests through it.
+// torn — regardless of where a crash lands. The WAL commits its
+// MANIFEST through it.
 func WriteFileAtomic(dir, name string, body []byte) error {
 	tmpPath := filepath.Join(dir, name+".tmp")
 	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)

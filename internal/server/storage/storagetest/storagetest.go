@@ -1,5 +1,5 @@
 // Package storagetest is the executable contract of storage.Store:
-// one battery, TestStore, that any backend must pass byte-for-byte
+// one battery, TestStore, that any store must pass byte-for-byte
 // identically. The interface in store.go states the contract in
 // prose; this package is what actually enforces it, so a new backend
 // (or a refactor of an old one) gets the whole surface — replace
@@ -11,11 +11,15 @@
 //		storagetest.TestStore(t, func(t *testing.T) storage.Store { ... })
 //	}
 //
-// It is wired against all four backends: mem and sharded (package
-// storage), wal, and lsm. The concurrency cases are deliberately run
+// It is wired against all three stores: mem and sharded (package
+// storage) and wal. The concurrency cases are deliberately run
 // under -race in CI; they are the only place the Scan-vs-InsertBatch
 // atomicity and the Gen-pins-cache protocol are exercised against
 // real interleavings rather than argued in comments.
+//
+// RemovedLayouts holds the other shared fixture: hand-built data
+// directories in on-disk formats the durable store refuses, so every
+// layer that opens a data directory tests the same refusal.
 package storagetest
 
 import (
@@ -481,8 +485,8 @@ func testBatchAtomicity(t *testing.T, s storage.Store) {
 // writers (inserts, re-sends, batches) against several readers
 // touching every read entry point. Correctness checks happen after
 // the join; while running, the value is tripping the race detector
-// (and backend-internal invariants like the lsm flush) on real
-// interleavings.
+// (and store-internal invariants like the wal's background compaction)
+// on real interleavings.
 func testConcurrentReadersWriters(t *testing.T, s storage.Store) {
 	const (
 		writers = 4

@@ -43,10 +43,10 @@
 // The MANIFEST pins the stripe count: reopening with a different
 // Options.Shards fails with ErrStripeMismatch instead of silently
 // mis-routing records (see manifest.go for why that would lose data).
-// Directories written by the pre-stripe layout — a bare snapshot.dat
-// and wal-*.log in the root, no MANIFEST — are migrated in place on
-// first Open; migration preserves record contents exactly and commits
-// by writing the MANIFEST last.
+// Directories in a removed format — the pre-stripe single log (a bare
+// snapshot.dat and wal-*.log in the root) or the removed kv backend
+// (log-*.log, run-*.sst, an LSM MANIFEST) — are refused untouched, with
+// an error naming the files found.
 //
 // A batch that spans stripes is appended to each involved stripe in
 // turn; a crash between those appends durably keeps some stripes'

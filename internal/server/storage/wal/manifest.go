@@ -24,13 +24,17 @@ import (
 // each stripe against the wrong shard's contents, silently dropping
 // records from disk on the next segment deletion. Open therefore
 // refuses a stripe-count mismatch with ErrStripeMismatch instead of
-// guessing. Directories from before the striped layout ("v1": a bare
-// snapshot.dat + wal-*.log in the directory root, no MANIFEST) are
-// migrated on first Open; see migrateLegacy.
+// guessing. Directories in a removed format — the pre-stripe single
+// log, or the kv (LSM) backend — are refused untouched; see
+// inspectRoot.
 const (
 	manifestName    = "MANIFEST"
 	manifestVersion = 2
 )
+
+// removedHint tells an operator what to do with a directory in a
+// removed on-disk format.
+const removedHint = "open it with the last release that reads it, then re-ingest its records through /v2 (PERSISTENCE.md, \"Removed\")"
 
 // ErrStripeMismatch reports that a data directory's MANIFEST pins a
 // different stripe count than Options.Shards requested. Nothing has
@@ -40,8 +44,8 @@ var ErrStripeMismatch = errors.New("wal: stripe count mismatch")
 
 // Manifest reads dir's MANIFEST and returns its stripe count. ok is
 // false (with a nil error) when the directory has no MANIFEST — a
-// fresh directory, or a legacy single-log layout that Open will
-// migrate. A malformed or future-versioned MANIFEST is an error.
+// fresh directory, or one Open will refuse. A malformed,
+// future-versioned or kv-backend MANIFEST is an error.
 func Manifest(dir string) (stripes int, ok bool, err error) {
 	b, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if os.IsNotExist(err) {
@@ -52,7 +56,7 @@ func Manifest(dir string) (stripes int, ok bool, err error) {
 	}
 	lines := strings.Split(strings.TrimSpace(string(b)), "\n")
 	if len(lines) > 0 && strings.HasPrefix(lines[0], "panda-lsm-manifest") {
-		return 0, false, fmt.Errorf("wal: %s is an LSM (kv) data dir (its MANIFEST says %q); open it with the kv backend (-backend=kv)", dir, lines[0])
+		return 0, false, fmt.Errorf("wal: %s is a data dir of the removed kv (LSM) backend (its MANIFEST says %q); %s", dir, lines[0], removedHint)
 	}
 	if len(lines) != 2 {
 		return 0, false, fmt.Errorf("wal: malformed manifest in %s", dir)
@@ -70,172 +74,50 @@ func Manifest(dir string) (stripes int, ok bool, err error) {
 	return stripes, true, nil
 }
 
-// writeManifest atomically creates dir's MANIFEST. It is the commit
-// point of both a fresh layout and a legacy migration: once the rename
-// lands (and the directory is fsynced), every later Open trusts the
-// stripe snapshots and ignores — deletes — leftover legacy files.
-func writeManifest(dir string, stripes int) error {
-	body := fmt.Sprintf("panda-wal-manifest v%d\nstripes %d\n", manifestVersion, stripes)
-	return writeFileAtomic(dir, manifestName, []byte(body))
+// inspectRoot reads dir's top level without modifying it. It refuses
+// files of a removed on-disk format, naming them: the pre-stripe
+// single log (a root snapshot.dat or wal-*.log) and the kv backend
+// (log-*.log, run-*.sst — caught here even when their MANIFEST is
+// lost). Otherwise it reports whether dir holds stripe directories.
+func inspectRoot(dir string) (hasStripes bool, err error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return false, fmt.Errorf("wal: %w", err)
+	}
+	var preStripe, kv []string
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() {
+			var i int
+			if _, serr := fmt.Sscanf(name, "stripe-%d", &i); serr == nil {
+				hasStripes = true
+			}
+			continue
+		}
+		if _, segment := parseSegmentName(name); segment || name == snapshotName {
+			preStripe = append(preStripe, name)
+		} else if (strings.HasPrefix(name, "log-") && strings.HasSuffix(name, ".log")) ||
+			(strings.HasPrefix(name, "run-") && strings.HasSuffix(name, ".sst")) {
+			kv = append(kv, name)
+		}
+	}
+	if len(kv) > 0 {
+		return false, fmt.Errorf("wal: %s holds files of the removed kv (LSM) backend (%s); %s",
+			dir, strings.Join(kv, ", "), removedHint)
+	}
+	if len(preStripe) > 0 {
+		return false, fmt.Errorf("wal: %s holds pre-stripe single-log files (%s), a layout this build no longer migrates; %s",
+			dir, strings.Join(preStripe, ", "), removedHint)
+	}
+	return hasStripes, nil
 }
 
-// writeFileAtomic writes name into dir via tmp + fsync + rename +
-// directory fsync, so the file is either absent or complete — never
-// torn — regardless of where a crash lands.
-func writeFileAtomic(dir, name string, body []byte) error {
-	tmpPath := filepath.Join(dir, name+".tmp")
-	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(body); err != nil {
-		tmp.Close()
-		_ = os.Remove(tmpPath)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		_ = os.Remove(tmpPath)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmpPath)
-		return err
-	}
-	if err := os.Rename(tmpPath, filepath.Join(dir, name)); err != nil {
-		_ = os.Remove(tmpPath)
-		return err
-	}
-	return syncDir(dir)
+// writeManifest atomically creates dir's MANIFEST — the commit point
+// of a fresh layout.
+func writeManifest(dir string, stripes int) error {
+	body := fmt.Sprintf("panda-wal-manifest v%d\nstripes %d\n", manifestVersion, stripes)
+	return storage.WriteFileAtomic(dir, manifestName, []byte(body))
 }
 
 // stripeDirName formats the subdirectory of stripe i.
 func stripeDirName(i int) string { return fmt.Sprintf("stripe-%03d", i) }
-
-// legacyLayout reports the pre-stripe ("v1") files in dir's root: the
-// segment sequence numbers and whether a root snapshot.dat exists.
-func legacyLayout(dir string) (seqs []uint64, hasSnap bool, err error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, false, err
-	}
-	for _, e := range entries {
-		if e.Name() == snapshotName {
-			hasSnap = true
-		}
-		if seq, ok := parseSegmentName(e.Name()); ok {
-			seqs = append(seqs, seq)
-		}
-	}
-	sortSeqs(seqs)
-	return seqs, hasSnap, nil
-}
-
-// migrateLegacy rewrites a pre-stripe data directory (one root log +
-// snapshot) as the striped layout, preserving record contents exactly.
-// The crash-safety argument, step by step:
-//
-//  1. Replay the legacy snapshot + segments into a scratch memory
-//     store, tolerating a torn tail in the final segment exactly like
-//     a normal recovery (damage elsewhere is ErrCorrupt). The legacy
-//     files are not modified.
-//  2. Write each stripe's snapshot.dat (atomically, fsynced) from the
-//     scratch store's matching memory shard. Stale files from an
-//     earlier crashed migration attempt are simply overwritten; stray
-//     segments inside stripe directories are deleted first (they can
-//     only exist if an operator moved files by hand — no append ever
-//     ran without a MANIFEST).
-//  3. Write the MANIFEST — the commit point. A crash before this line
-//     leaves the legacy files authoritative and the next Open redoes
-//     the migration from step 1; a crash after it leaves the stripe
-//     snapshots authoritative.
-//  4. Delete the legacy files. A crash mid-deletion leaves leftovers
-//     that the next Open (seeing the MANIFEST) deletes — their every
-//     record is already in the stripe snapshots.
-//
-// It returns whether the legacy log ended in a torn record, so Open
-// can surface it in Stats like a normal torn-tail recovery.
-func migrateLegacy(dir string, stripes int, seqs []uint64, hasSnap bool) (tornTail bool, err error) {
-	scratch := storage.NewSharded(stripes)
-	if hasSnap {
-		snapPath := filepath.Join(dir, snapshotName)
-		if _, err := replayFile(snapPath, func(rec storage.Record) { scratch.Insert(rec) }); err != nil {
-			if err == errTorn {
-				return false, fmt.Errorf("%w: snapshot %s", ErrCorrupt, snapPath)
-			}
-			return false, fmt.Errorf("wal: migrating legacy snapshot: %w", err)
-		}
-	}
-	for i, seq := range seqs {
-		path := filepath.Join(dir, segmentName(seq))
-		_, err := replayFile(path, func(rec storage.Record) { scratch.Insert(rec) })
-		switch {
-		case err == nil:
-		case err == errTorn && i == len(seqs)-1:
-			tornTail = true
-		case err == errTorn:
-			return false, fmt.Errorf("%w: segment %s", ErrCorrupt, path)
-		default:
-			return false, fmt.Errorf("wal: migrating %s: %w", path, err)
-		}
-	}
-
-	for i := 0; i < stripes; i++ {
-		sd := filepath.Join(dir, stripeDirName(i))
-		if err := os.MkdirAll(sd, 0o755); err != nil {
-			return false, fmt.Errorf("wal: migrating: %w", err)
-		}
-		// Stray segments here would later replay over the fresh
-		// snapshot; with the legacy files still authoritative they
-		// hold nothing of value, so clear them.
-		entries, err := os.ReadDir(sd)
-		if err != nil {
-			return false, fmt.Errorf("wal: migrating: %w", err)
-		}
-		for _, e := range entries {
-			if _, ok := parseSegmentName(e.Name()); ok || strings.HasSuffix(e.Name(), ".tmp") {
-				if err := os.Remove(filepath.Join(sd, e.Name())); err != nil {
-					return false, fmt.Errorf("wal: migrating: %w", err)
-				}
-			}
-		}
-		var body []byte
-		body = append(body, fileHeader()...)
-		var frame []byte
-		scratch.ScanShard(i, func(rec storage.Record) bool {
-			frame = appendFrame(frame[:0], rec)
-			body = append(body, frame...)
-			return true
-		})
-		if err := writeFileAtomic(sd, snapshotName, body); err != nil {
-			return false, fmt.Errorf("wal: migrating stripe %d: %w", i, err)
-		}
-	}
-
-	if err := writeManifest(dir, stripes); err != nil {
-		return false, fmt.Errorf("wal: migrating: %w", err)
-	}
-	if err := removeLegacy(dir, seqs, hasSnap); err != nil {
-		return false, err
-	}
-	return tornTail, nil
-}
-
-// removeLegacy deletes the pre-stripe root files after (or on an Open
-// after) a committed migration, then fsyncs the directory.
-func removeLegacy(dir string, seqs []uint64, hasSnap bool) error {
-	if len(seqs) == 0 && !hasSnap {
-		return nil
-	}
-	for _, seq := range seqs {
-		if err := os.Remove(filepath.Join(dir, segmentName(seq))); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("wal: removing migrated legacy segment: %w", err)
-		}
-	}
-	if hasSnap {
-		if err := os.Remove(filepath.Join(dir, snapshotName)); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("wal: removing migrated legacy snapshot: %w", err)
-		}
-	}
-	return syncDir(dir)
-}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 
 	"github.com/pglp/panda/internal/server/storage"
@@ -83,7 +82,6 @@ type Stats struct {
 	ActiveSeq   uint64 // highest active segment sequence across stripes
 	Compactions uint64 // completed per-stripe snapshot rewrites since Open
 	TornTail    bool   // whether Open truncated a torn final record in any stripe
-	Migrated    bool   // whether Open migrated a legacy single-log layout
 	CompactErr  error  // first stripe's unrecovered background-compaction failure, nil once all succeed
 }
 
@@ -123,9 +121,6 @@ type Store struct {
 	mem     *storage.Sharded
 	stripes []*stripe
 
-	migrated   bool // this Open migrated a legacy single-log layout
-	legacyTorn bool // the legacy log ended in a torn record
-
 	closeMu  sync.Mutex
 	closed   bool
 	closeErr error
@@ -139,11 +134,11 @@ type Store struct {
 // replayed into memory stripe by stripe: each stripe's snapshot first
 // (if present), then its segments in sequence order. A torn final
 // record in a stripe's last segment is truncated away; damage anywhere
-// else returns ErrCorrupt. A directory laid out by the pre-stripe
-// format (a single root log) is migrated to opts.Shards stripes before
-// recovery, preserving record contents exactly. A directory whose
-// MANIFEST pins a different stripe count than opts.Shards is refused
-// with ErrStripeMismatch — nothing is modified in that case.
+// else returns ErrCorrupt. A directory whose MANIFEST pins a
+// different stripe count than opts.Shards is refused with
+// ErrStripeMismatch, and one holding files of a removed format (the
+// pre-stripe single log, the kv backend) is refused with an error
+// naming them — nothing is modified in either case.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.CompactMinGarbage == 0 {
 		opts.CompactMinGarbage = defaultCompactMinGarbage
@@ -159,6 +154,10 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	hasStripes, err := inspectRoot(dir)
+	if err != nil {
+		return nil, err
+	}
 	stripes := opts.Shards
 	if stripes < 1 {
 		stripes = 1
@@ -168,66 +167,32 @@ func Open(dir string, opts Options) (*Store, error) {
 			stripes = manifestStripes
 		}
 	}
-	legacySeqs, legacySnap, err := legacyLayout(dir)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	migrated, legacyTorn := false, false
 	switch {
 	case hasManifest:
 		if manifestStripes != stripes {
 			return nil, fmt.Errorf("%w: data dir %s was laid out with %d stripes, got Shards=%d; reopen with Shards=%d (or 0 to adopt) or restripe offline (PERSISTENCE.md)",
 				ErrStripeMismatch, dir, manifestStripes, opts.Shards, manifestStripes)
 		}
-		// Legacy files alongside a MANIFEST are leftovers of a crash
-		// between migration commit and cleanup; every record in them is
-		// already in the stripe snapshots.
-		if err := removeLegacy(dir, legacySeqs, legacySnap); err != nil {
-			return nil, err
-		}
-	case len(legacySeqs) > 0 || legacySnap:
-		legacyTorn, err = migrateLegacy(dir, stripes, legacySeqs, legacySnap)
-		if err != nil {
-			return nil, err
-		}
-		migrated = true
+	case hasStripes:
+		// Stripe directories without a MANIFEST mean the manifest was
+		// lost or deleted: refusing is the only safe move, because
+		// laying a new MANIFEST with a different count over existing
+		// stripes would mis-route compaction and silently drop records
+		// from disk.
+		return nil, fmt.Errorf("wal: %s has stripe directories but no MANIFEST; restore the MANIFEST (two lines: %q, %q) or recover from backup — see PERSISTENCE.md",
+			dir, fmt.Sprintf("panda-wal-manifest v%d", manifestVersion), "stripes <N>")
 	default:
-		// A truly fresh directory. Stripe directories without a
-		// MANIFEST mean the manifest was lost or deleted: refusing is
-		// the only safe move, because laying a new MANIFEST with a
-		// different count over existing stripes would mis-route
-		// compaction and silently drop records from disk.
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			return nil, fmt.Errorf("wal: %w", err)
-		}
-		for _, e := range entries {
-			var i int
-			if _, serr := fmt.Sscanf(e.Name(), "stripe-%d", &i); serr == nil && e.IsDir() {
-				return nil, fmt.Errorf("wal: %s has stripe directories but no MANIFEST; restore the MANIFEST (two lines: %q, %q) or recover from backup — see PERSISTENCE.md",
-					dir, fmt.Sprintf("panda-wal-manifest v%d", manifestVersion), "stripes <N>")
-			}
-			// LSM-layout files (even with their MANIFEST lost) must not
-			// be buried under a fresh WAL layout.
-			name := e.Name()
-			if (strings.HasPrefix(name, "log-") && strings.HasSuffix(name, ".log")) ||
-				(strings.HasPrefix(name, "run-") && strings.HasSuffix(name, ".sst")) {
-				return nil, fmt.Errorf("wal: %s holds LSM (kv) backend files (%s); open it with the kv backend (-backend=kv)", dir, name)
-			}
-		}
 		if err := writeManifest(dir, stripes); err != nil {
 			return nil, fmt.Errorf("wal: %w", err)
 		}
 	}
 
 	s := &Store{
-		dir:        dir,
-		opts:       opts,
-		mem:        storage.NewSharded(stripes),
-		stripes:    make([]*stripe, stripes),
-		migrated:   migrated,
-		legacyTorn: legacyTorn,
-		done:       make(chan struct{}),
+		dir:     dir,
+		opts:    opts,
+		mem:     storage.NewSharded(stripes),
+		stripes: make([]*stripe, stripes),
+		done:    make(chan struct{}),
 	}
 	for i := range s.stripes {
 		st := &stripe{
@@ -470,8 +435,6 @@ func (s *Store) Stats() Stats {
 	out := Stats{
 		LiveRecords: s.mem.Len(),
 		Stripes:     len(s.stripes),
-		TornTail:    s.legacyTorn,
-		Migrated:    s.migrated,
 	}
 	for _, st := range s.stripes {
 		st.mu.Lock()
@@ -693,7 +656,7 @@ func (s *Store) compactStripe(st *stripe) error {
 		_ = os.Remove(tmpPath)
 		return fmt.Errorf("wal: compact: %w", err)
 	}
-	if err := syncDir(st.dir); err != nil {
+	if err := storage.SyncDir(st.dir); err != nil {
 		return fmt.Errorf("wal: compact: %w", err)
 	}
 
@@ -712,15 +675,4 @@ func (s *Store) compactStripe(st *stripe) error {
 	st.compactErr = nil
 	st.mu.Unlock()
 	return nil
-}
-
-// syncDir fsyncs a directory so renames and removals inside it are
-// durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

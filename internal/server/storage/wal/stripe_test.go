@@ -1,19 +1,21 @@
 package wal
 
 // Crash-recovery tests specific to the striped layout: stripe/shard
-// placement agreement, MANIFEST enforcement, legacy single-log
-// migration, partial cross-stripe batches, and the rotation/iterator
+// placement agreement, MANIFEST enforcement, refusal of removed
+// layouts, partial cross-stripe batches, and the rotation/iterator
 // interplay that snapshots (SaveJSON upstream) depend on.
 
 import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"github.com/pglp/panda/internal/server/storage"
+	"github.com/pglp/panda/internal/server/storage/storagetest"
 )
 
 // TestStripePlacementMatchesShards pins the routing agreement the whole
@@ -157,203 +159,98 @@ func TestManifestReader(t *testing.T) {
 	}
 }
 
-// buildLegacyDir lays a directory out in the pre-stripe ("v1") format:
-// an optional root snapshot plus root segments.
-func buildLegacyDir(t *testing.T, dir string, snap []storage.Record, segs ...[]storage.Record) {
+// TestRemovedLayoutsRefused: directories in a removed on-disk format —
+// the kv (LSM) backend, the pre-stripe single log with or without a
+// MANIFEST beside it — are refused with an error naming the files
+// found, whatever Shards asks for, and left byte-identical: no MANIFEST
+// is laid over them, no stripe directory created, no .tmp cleaned.
+// Besides the shared hand-built fixtures it runs on pre-stripe
+// directories holding real log bytes, in the states the old in-place
+// migration used to handle: intact, torn, corrupt, half-migrated and
+// migrated-but-not-cleaned-up.
+func TestRemovedLayoutsRefused(t *testing.T) {
+	layouts := append(storagetest.RemovedLayouts(), legacyLayouts(t)...)
+	for _, l := range layouts {
+		t.Run(l.Name, func(t *testing.T) {
+			for _, shards := range []int{0, 1, 4} {
+				dir := l.Build(t)
+				_, err := Open(dir, Options{Shards: shards, CompactMinGarbage: -1})
+				l.Check(t, dir, err)
+			}
+		})
+	}
+}
+
+// legacyLayouts builds pre-stripe directories from real wal-format
+// files: a root snapshot plus root segments, as the single-log layout
+// wrote them.
+func legacyLayouts(t *testing.T) []storagetest.RemovedLayout {
 	t.Helper()
-	if snap != nil {
-		writeLogFile(t, filepath.Join(dir, snapshotName), snap...)
-	}
-	for i, seg := range segs {
-		writeLogFile(t, filepath.Join(dir, segmentName(uint64(i+1))), seg...)
-	}
-}
-
-// TestLegacyMigrationRoundTrip: a pre-stripe data dir — snapshot,
-// several segments, replacements across them — opens via migration with
-// identical record contents, the MANIFEST is created, the legacy files
-// are gone, and a second reopen (now striped) serves the same records
-// without migrating again.
-func TestLegacyMigrationRoundTrip(t *testing.T) {
-	for _, stripes := range []int{1, 4} {
+	build := func(snap []storage.Record, segs ...[]storage.Record) string {
 		dir := t.TempDir()
-		buildLegacyDir(t, dir,
-			[]storage.Record{rec(0, 0, 1), rec(1, 0, 2), rec(2, 0, 3)},
-			[]storage.Record{rec(3, 1, 4), rec(0, 0, 9)}, // user 0 re-sent: cell 9 wins
-			[]storage.Record{rec(4, 2, 5), rec(5, 3, 6)},
-		)
-		want := map[[2]int]int{
-			{0, 0}: 9, {1, 0}: 2, {2, 0}: 3, {3, 1}: 4, {4, 2}: 5, {5, 3}: 6,
+		if snap != nil {
+			writeLogFile(t, filepath.Join(dir, snapshotName), snap...)
 		}
-
-		s := mustOpen(t, dir, Options{Shards: stripes, CompactMinGarbage: -1})
-		st := s.Stats()
-		if !st.Migrated || st.Stripes != stripes || st.TornTail {
-			t.Fatalf("stripes=%d: stats after migration: %+v", stripes, st)
+		for i, seg := range segs {
+			writeLogFile(t, filepath.Join(dir, segmentName(uint64(i+1))), seg...)
 		}
-		checkCells := func(s *Store, when string) {
-			t.Helper()
-			got := collect(s)
-			if len(got) != len(want) {
-				t.Fatalf("stripes=%d %s: %d records, want %d", stripes, when, len(got), len(want))
-			}
-			for k, cell := range want {
-				if got[k].Cell != cell {
-					t.Fatalf("stripes=%d %s: key %v cell %d, want %d", stripes, when, k, got[k].Cell, cell)
-				}
-			}
-		}
-		checkCells(s, "post-migration")
-		// Migration doubles as a compaction: the stripe snapshots hold
-		// only final values, so the superseded legacy entry is gone.
-		if st.Garbage != 0 {
-			t.Fatalf("stripes=%d: garbage after migration = %d, want 0", stripes, st.Garbage)
-		}
-		// The store is live: append through the striped layout.
-		s.Insert(rec(6, 4, 7))
-		want[[2]int{6, 4}] = 7
-		if err := s.Close(); err != nil {
+		return dir
+	}
+	rewrite := func(path string, edit func([]byte) []byte) {
+		b, err := os.ReadFile(path)
+		if err != nil {
 			t.Fatal(err)
 		}
-
-		if _, err := os.Stat(filepath.Join(dir, snapshotName)); !os.IsNotExist(err) {
-			t.Fatalf("stripes=%d: legacy snapshot survived migration", stripes)
-		}
-		for seq := uint64(1); seq <= 2; seq++ {
-			if _, err := os.Stat(filepath.Join(dir, segmentName(seq))); !os.IsNotExist(err) {
-				t.Fatalf("stripes=%d: legacy segment %d survived migration", stripes, seq)
-			}
-		}
-		if n, ok, err := Manifest(dir); n != stripes || !ok || err != nil {
-			t.Fatalf("stripes=%d: manifest after migration = (%d, %v, %v)", stripes, n, ok, err)
-		}
-
-		back := mustOpen(t, dir, Options{Shards: stripes, CompactMinGarbage: -1})
-		if st := back.Stats(); st.Migrated {
-			t.Fatalf("stripes=%d: second open re-migrated", stripes)
-		}
-		checkCells(back, "reopen")
-		if err := back.Close(); err != nil {
+		if err := os.WriteFile(path, edit(b), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-}
+	want := func(files ...string) string {
+		return "pre-stripe single-log files (" + strings.Join(files, ", ") + ")"
+	}
+	var out []storagetest.RemovedLayout
 
-// TestLegacyMigrationTornTail: a legacy log whose final segment ends in
-// a torn record migrates like a normal recovery — the intact prefix is
-// preserved, the torn record dropped, and Stats reports the torn tail.
-func TestLegacyMigrationTornTail(t *testing.T) {
-	dir := t.TempDir()
-	buildLegacyDir(t, dir, nil, []storage.Record{rec(0, 0, 1), rec(1, 0, 2), rec(2, 0, 3)})
-	seg := filepath.Join(dir, segmentName(1))
-	b, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(seg, b[:len(b)-7], 0o644); err != nil { // tear record 2
-		t.Fatal(err)
-	}
-	s := mustOpen(t, dir, Options{Shards: 2, CompactMinGarbage: -1})
-	defer s.Close()
-	st := s.Stats()
-	if !st.Migrated || !st.TornTail {
-		t.Fatalf("stats after torn-tail migration: %+v", st)
-	}
-	if s.Len() != 2 {
-		t.Fatalf("migrated %d records, want 2 (torn record dropped)", s.Len())
-	}
-}
+	// Snapshot and several segments, with a user re-sent across them.
+	dir := build([]storage.Record{rec(0, 0, 1), rec(1, 0, 2)},
+		[]storage.Record{rec(3, 1, 4), rec(0, 0, 9)},
+		[]storage.Record{rec(4, 2, 5)})
+	out = append(out, storagetest.LayoutOf(t, "legacy-snapshot-and-segments", dir,
+		want(snapshotName, segmentName(1), segmentName(2))))
 
-// TestLegacyMigrationCorruptRejected: damage in a non-final legacy
-// segment is corruption, and migration must refuse (leaving the legacy
-// files in place) rather than silently drop the suffix.
-func TestLegacyMigrationCorruptRejected(t *testing.T) {
-	dir := t.TempDir()
-	buildLegacyDir(t, dir, nil,
-		[]storage.Record{rec(0, 0, 1), rec(1, 0, 2)},
-		[]storage.Record{rec(2, 0, 3)},
-	)
-	seg := filepath.Join(dir, segmentName(1))
-	b, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[headerSize+10] ^= 0xff
-	if err := os.WriteFile(seg, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, Options{Shards: 2, CompactMinGarbage: -1}); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Open on corrupt legacy dir: err=%v, want ErrCorrupt", err)
-	}
-	if _, err := os.Stat(seg); err != nil {
-		t.Fatalf("failed migration removed legacy files: %v", err)
-	}
-	if _, ok, _ := Manifest(dir); ok {
-		t.Fatal("failed migration committed a MANIFEST")
-	}
-}
+	// The final segment ends in a torn record.
+	dir = build(nil, []storage.Record{rec(0, 0, 1), rec(1, 0, 2), rec(2, 0, 3)})
+	rewrite(filepath.Join(dir, segmentName(1)), func(b []byte) []byte { return b[:len(b)-7] })
+	out = append(out, storagetest.LayoutOf(t, "legacy-torn-tail", dir, want(segmentName(1))))
 
-// TestLegacyMigrationRedoAfterCrash: a crash before the MANIFEST write
-// leaves the legacy files authoritative; stale stripe snapshots and
-// segments from the failed attempt must be overwritten/cleared, never
-// replayed.
-func TestLegacyMigrationRedoAfterCrash(t *testing.T) {
-	const stripes = 2
-	dir := t.TempDir()
-	buildLegacyDir(t, dir, nil, []storage.Record{rec(0, 0, 1), rec(2, 0, 2)}) // both route to stripe 0
-	// Simulated debris of a crashed earlier migration: a stale stripe
-	// snapshot with a record that was later superseded, and a stray
-	// stripe segment with a record that never existed in the legacy log.
+	// Damage in a non-final segment: refused as a removed layout, not
+	// read far enough to be reported as ErrCorrupt.
+	dir = build(nil, []storage.Record{rec(0, 0, 1), rec(1, 0, 2)}, []storage.Record{rec(2, 0, 3)})
+	rewrite(filepath.Join(dir, segmentName(1)), func(b []byte) []byte { b[headerSize+10] ^= 0xff; return b })
+	out = append(out, storagetest.LayoutOf(t, "legacy-corrupt-segment", dir,
+		want(segmentName(1), segmentName(2))))
+
+	// A migration that crashed before its MANIFEST write: root legacy
+	// files plus stale stripe debris.
+	dir = build(nil, []storage.Record{rec(0, 0, 1), rec(2, 0, 2)})
 	if err := os.MkdirAll(filepath.Join(dir, stripeDirName(0)), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	writeLogFile(t, stripePath(dir, 0, snapshotName), rec(0, 0, 63))
 	writeLogFile(t, stripePath(dir, 0, segmentName(7)), rec(4, 9, 9))
+	out = append(out, storagetest.LayoutOf(t, "legacy-crashed-migration", dir, want(segmentName(1))))
 
-	s := mustOpen(t, dir, Options{Shards: stripes, CompactMinGarbage: -1})
-	defer s.Close()
-	if !s.Stats().Migrated {
-		t.Fatal("redo open did not migrate")
-	}
-	got := collect(s)
-	if len(got) != 2 {
-		t.Fatalf("recovered %d records, want 2 (stale stripe files must not leak)", len(got))
-	}
-	if got[[2]int{0, 0}].Cell != 1 {
-		t.Fatalf("user 0 cell %d, want 1 (stale snapshot value resurrected)", got[[2]int{0, 0}].Cell)
-	}
-	if _, ok := got[[2]int{4, 9}]; ok {
-		t.Fatal("stray stripe segment record survived migration redo")
-	}
-}
-
-// TestLegacyCleanupAfterCommittedMigration: a crash after the MANIFEST
-// write but before legacy-file deletion leaves leftovers that the next
-// Open deletes without replaying — the stripe snapshots are already the
-// authority.
-func TestLegacyCleanupAfterCommittedMigration(t *testing.T) {
-	dir := t.TempDir()
+	// A migration committed (MANIFEST and stripes written by a real
+	// store) whose cleanup never ran: a root segment is left over.
+	dir = t.TempDir()
 	s := mustOpen(t, dir, Options{Shards: 2, CompactMinGarbage: -1})
 	s.Insert(rec(1, 0, 5))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Leftover legacy segment: its records were (by the migration
-	// ordering) absorbed before the MANIFEST landed, so a conflicting
-	// record here must NOT win — it must simply be deleted.
 	writeLogFile(t, filepath.Join(dir, segmentName(1)), rec(1, 0, 63), rec(9, 9, 9))
+	out = append(out, storagetest.LayoutOf(t, "legacy-beside-committed-manifest", dir, want(segmentName(1))))
 
-	back := mustOpen(t, dir, Options{Shards: 2, CompactMinGarbage: -1})
-	defer back.Close()
-	if back.Len() != 1 {
-		t.Fatalf("recovered %d records, want 1 (leftover legacy file replayed)", back.Len())
-	}
-	if got := back.UserRecords(1)[0].Cell; got != 5 {
-		t.Fatalf("user 1 cell %d, want 5", got)
-	}
-	if _, err := os.Stat(filepath.Join(dir, segmentName(1))); !os.IsNotExist(err) {
-		t.Fatal("leftover legacy segment not cleaned up")
-	}
+	return out
 }
 
 // TestPartialCrossStripeBatch pins the honest crash semantics of a

@@ -102,20 +102,10 @@ type Options struct {
 	// records are written through a striped append-only WAL in this
 	// directory (created if absent) and replayed on the next NewSystem
 	// with the same directory, so the database survives restarts. A
-	// directory written by the pre-stripe layout is migrated in place.
-	// Call Close when done with the system. Empty keeps the store
-	// memory-only.
+	// directory in a removed format (the pre-stripe single log, the kv
+	// backend) is refused untouched; see PERSISTENCE.md. Call Close
+	// when done with the system. Empty keeps the store memory-only.
 	DataDir string
-	// Backend selects the durable store implementation for DataDir:
-	// "wal" (or empty) is the striped write-ahead log described above;
-	// "kv" (alias "lsm") is the LSM-style embedded store — one append
-	// log plus sorted-run SSTables, shard-agnostic on disk (StoreShards
-	// is not pinned, unlike the WAL's stripe count). A directory laid
-	// out by one backend is refused by the other with an error naming
-	// the right one. PERSISTENCE.md compares the two. Setting Backend
-	// without DataDir is an error: the field only means something for a
-	// durable store.
-	Backend string
 	// FsyncEveryWrite, with DataDir set, fsyncs the log before every
 	// insert returns so acknowledged reports survive power failure.
 	// Concurrent writers on one stripe share fsyncs (group commit) and
@@ -172,15 +162,12 @@ func NewSystem(o Options) (*System, error) {
 	if (o.WindowSteps > 0) != (o.WindowEpsilon > 0) {
 		return nil, fmt.Errorf("panda: WindowSteps and WindowEpsilon must be set together")
 	}
-	if o.Backend != "" && o.DataDir == "" {
-		return nil, fmt.Errorf("panda: Backend %q set without DataDir (a backend only means something for a durable store)", o.Backend)
-	}
 	var (
 		db    *server.DB
 		store storage.Durable
 	)
 	if o.DataDir != "" {
-		store, err = backend.Open(o.Backend, o.DataDir, backend.Options{
+		store, err = backend.Open(backend.WAL, o.DataDir, backend.Options{
 			Shards:         o.StoreShards,
 			SyncEveryWrite: o.FsyncEveryWrite,
 		})

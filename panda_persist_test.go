@@ -2,31 +2,28 @@ package panda
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
+
+	"github.com/pglp/panda/internal/server/storage/storagetest"
 )
 
 // TestSystemDataDirRestart: a System built with Options.DataDir writes
 // every release through the durable store, and a new System on the same
 // directory serves the same records and analytics — the facade-level
-// durability contract, for every backend × sync policy.
+// durability contract, for each sync policy.
 func TestSystemDataDirRestart(t *testing.T) {
-	for _, bk := range []string{"wal", "kv"} {
-		for _, fsync := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/fsync=%v", bk, fsync), func(t *testing.T) {
-				testSystemDataDirRestart(t, bk, fsync)
-			})
-		}
+	for _, fsync := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fsync=%v", fsync), func(t *testing.T) {
+			testSystemDataDirRestart(t, fsync)
+		})
 	}
 }
 
-func testSystemDataDirRestart(t *testing.T, bk string, fsync bool) {
+func testSystemDataDirRestart(t *testing.T, fsync bool) {
 	{
 		dir := t.TempDir()
 		opts := Options{Rows: 8, Cols: 8, CellSize: 1, Epsilon: 2,
-			DataDir: dir, Backend: bk, FsyncEveryWrite: fsync, StoreShards: 4}
+			DataDir: dir, FsyncEveryWrite: fsync, StoreShards: 4}
 		sys, err := NewSystem(opts)
 		if err != nil {
 			t.Fatal(err)
@@ -87,129 +84,20 @@ func testSystemDataDirRestart(t *testing.T, bk string, fsync bool) {
 	}
 }
 
-// TestSystemLegacyDataDirMigration: a data directory from before the
-// striped WAL (a bare snapshot/segment set in the root, no MANIFEST)
-// opens through the facade via in-place migration, with identical
-// records. The legacy layout is manufactured by demoting a 1-stripe
-// directory: stripe files and pre-stripe files share one format, so
-// moving stripe-000's contents to the root and dropping the MANIFEST
-// reproduces a PR 3-era directory exactly.
-func TestSystemLegacyDataDirMigration(t *testing.T) {
-	dir := t.TempDir()
-	opts := Options{Rows: 8, Cols: 8, CellSize: 1, Epsilon: 2, DataDir: dir, StoreShards: 1}
-	sys, err := NewSystem(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alice, err := sys.NewUser(1, GEM, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := alice.ReportBatch(0, []int{3, 4, 5, 13}); err != nil {
-		t.Fatal(err)
-	}
-	want := sys.Records(1)
-	if err := sys.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Demote to the legacy layout.
-	stripeDir := filepath.Join(dir, "stripe-000")
-	entries, err := os.ReadDir(stripeDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if err := os.Rename(filepath.Join(stripeDir, e.Name()), filepath.Join(dir, e.Name())); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.Remove(stripeDir); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, "MANIFEST")); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen with a different shard count: migration re-stripes the
-	// legacy files to the requested layout.
-	opts.StoreShards = 4
-	back, err := NewSystem(opts)
-	if err != nil {
-		t.Fatalf("reopening legacy dir: %v", err)
-	}
-	defer back.Close()
-	got := back.Records(1)
-	if len(got) != len(want) {
-		t.Fatalf("%d records after migration, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("record %d = %+v after migration, want %+v", i, got[i], want[i])
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, "snapshot.dat")); err == nil {
-		t.Fatal("legacy snapshot still in the root after migration")
-	}
-}
-
-// TestSystemBackendValidation: Backend set without DataDir, or set to
-// an unknown name, is refused before anything touches the disk.
-func TestSystemBackendValidation(t *testing.T) {
-	if _, err := NewSystem(Options{Rows: 4, Cols: 4, CellSize: 1, Epsilon: 1, Backend: "kv"}); err == nil {
-		t.Error("Backend without DataDir accepted")
-	}
-	if _, err := NewSystem(Options{Rows: 4, Cols: 4, CellSize: 1, Epsilon: 1,
-		DataDir: t.TempDir(), Backend: "bolt"}); err == nil || !strings.Contains(err.Error(), `unknown backend "bolt"`) {
-		t.Errorf("unknown backend: err = %v, want unknown-backend error", err)
-	}
-}
-
-// TestSystemBackendMismatch: a directory laid out by one backend is
-// refused by the other, through the facade, with an error naming the
-// backend that can open it — and the refusal modifies nothing.
-func TestSystemBackendMismatch(t *testing.T) {
-	lay := func(bk string) (string, Options) {
-		t.Helper()
-		opts := Options{Rows: 8, Cols: 8, CellSize: 1, Epsilon: 2, DataDir: t.TempDir(), Backend: bk}
-		sys, err := NewSystem(opts)
-		if err != nil {
-			t.Fatalf("laying out %s dir: %v", bk, err)
-		}
-		u, err := sys.NewUser(1, GEM, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := u.Report(0, 3); err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return opts.DataDir, opts
-	}
-
-	walDir, _ := lay("wal")
-	if _, err := NewSystem(Options{Rows: 8, Cols: 8, CellSize: 1, Epsilon: 2,
-		DataDir: walDir, Backend: "kv"}); err == nil || !strings.Contains(err.Error(), "-backend=wal") {
-		t.Errorf("kv on wal dir: err = %v, want refusal naming -backend=wal", err)
-	}
-
-	kvDir, kvOpts := lay("kv")
-	if _, err := NewSystem(Options{Rows: 8, Cols: 8, CellSize: 1, Epsilon: 2,
-		DataDir: kvDir, Backend: "wal"}); err == nil || !strings.Contains(err.Error(), "-backend=kv") {
-		t.Errorf("wal on kv dir: err = %v, want refusal naming -backend=kv", err)
-	}
-	// The refused kv dir still opens cleanly with its own backend.
-	back, err := NewSystem(kvOpts)
-	if err != nil {
-		t.Fatalf("kv dir damaged by wal refusal: %v", err)
-	}
-	if got := back.Records(1); len(got) != 1 {
-		t.Errorf("kv dir lost records after refusal: %d, want 1", len(got))
-	}
-	if err := back.Close(); err != nil {
-		t.Fatal(err)
+// TestSystemRemovedLayoutsRefused: a DataDir in a removed format — a
+// kv (LSM) backend directory or a pre-stripe single log — fails
+// NewSystem with an error naming the files found, and the refusal
+// leaves the directory byte-identical.
+func TestSystemRemovedLayoutsRefused(t *testing.T) {
+	for _, l := range storagetest.RemovedLayouts() {
+		t.Run(l.Name, func(t *testing.T) {
+			dir := l.Build(t)
+			sys, err := NewSystem(Options{Rows: 8, Cols: 8, CellSize: 1, Epsilon: 2, DataDir: dir})
+			if err == nil {
+				sys.Close()
+			}
+			l.Check(t, dir, err)
+		})
 	}
 }
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# bench-backends.sh — run the backend benchmark matrix (mem / sharded /
-# wal / kv behind the storage.Store seam: ingest, ScanRange, reopen
-# with disk_B/rec) and record it as the bench-backends.txt artifact,
-# folded into bench-trend.json like every other bench family.
+# bench-backends.sh — run the store benchmark matrix (mem / sharded /
+# wal behind the storage.Store seam: ingest and ScanRange for all
+# three, reopen with disk_B/rec for the wal) and record it as the
+# bench-backends.txt artifact, folded into bench-trend.json like every
+# other bench family.
 #
 # Usage: scripts/bench-backends.sh [benchtime]   (default 300x)
 set -euo pipefail
