@@ -42,15 +42,20 @@ func NewGraphLaplace(grid *geo.Grid, g *policygraph.Graph, eps float64) (*GraphL
 	}
 	m := &GraphLaplace{base: b}
 	m.comp = g.ComponentIndex()
-	comps := g.Components()
-	m.numComps = len(comps)
-	m.maxEdge = make([]float64, len(comps))
-	m.epsGeo = make([]float64, len(comps))
-	for _, e := range g.Edges() {
-		ci := m.comp[e[0]]
-		if d := grid.EuclidCells(e[0], e[1]); d > m.maxEdge[ci] {
-			m.maxEdge[ci] = d
-		}
+	for _, ci := range m.comp {
+		m.numComps = max(m.numComps, ci+1)
+	}
+	m.maxEdge = make([]float64, m.numComps)
+	m.epsGeo = make([]float64, m.numComps)
+	// L_C is a maximum, so edge order is irrelevant: walk the adjacency
+	// (each edge once, from its lower end) rather than sorting Edges().
+	for u := range g.NumNodes() {
+		maxEdge := &m.maxEdge[m.comp[u]]
+		g.VisitNeighbors(u, func(v int) {
+			if u < v {
+				*maxEdge = max(*maxEdge, grid.EuclidCells(u, v))
+			}
+		})
 	}
 	for ci, L := range m.maxEdge {
 		if L > 0 {

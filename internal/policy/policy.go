@@ -47,6 +47,11 @@ type UserPolicy struct {
 
 // Manager holds per-user policies. It is safe for concurrent use — the
 // server mutates policies (infection updates) while clients read them.
+//
+// The graphs it hands out are shared: every user on the default policy
+// holds the same *Graph, and so does every user after an infection wave.
+// Treat them as immutable; to change one user's policy, build a new
+// graph and Set it.
 type Manager struct {
 	mu           sync.RWMutex
 	grid         *geo.Grid
@@ -54,6 +59,9 @@ type Manager struct {
 	defaultEps   float64
 	users        map[int]*UserPolicy
 	infected     map[int]bool // accumulated disclosable cells
+	// current is defaultGraph with the infected cells isolated, built
+	// once per MarkInfected that adds a cell.
+	current *policygraph.Graph
 }
 
 // NewManager creates a manager handing out the given default policy.
@@ -74,6 +82,7 @@ func NewManager(grid *geo.Grid, defaultGraph *policygraph.Graph, eps float64) (*
 		defaultEps:   eps,
 		users:        make(map[int]*UserPolicy),
 		infected:     make(map[int]bool),
+		current:      defaultGraph,
 	}, nil
 }
 
@@ -88,19 +97,10 @@ func (m *Manager) Get(user int) UserPolicy {
 func (m *Manager) getLocked(user int) *UserPolicy {
 	up, ok := m.users[user]
 	if !ok {
-		up = &UserPolicy{Graph: m.currentDefaultLocked(), Epsilon: m.defaultEps, Version: 1, Consented: true}
+		up = &UserPolicy{Graph: m.current, Epsilon: m.defaultEps, Version: 1, Consented: true}
 		m.users[user] = up
 	}
 	return up
-}
-
-// currentDefaultLocked is the default graph with accumulated infected
-// cells isolated.
-func (m *Manager) currentDefaultLocked() *policygraph.Graph {
-	if len(m.infected) == 0 {
-		return m.defaultGraph
-	}
-	return policygraph.IsolateNodes(m.defaultGraph, m.infectedListLocked())
 }
 
 func (m *Manager) infectedListLocked() []int {
@@ -140,7 +140,9 @@ func (m *Manager) Consent(user int, ok bool) {
 
 // MarkInfected records newly infected (disclosable) cells and updates
 // every known user's policy to the contact-tracing variant, bumping
-// versions. It returns the users whose policies changed.
+// versions — users given their own graph by Set included. It returns
+// the users whose policies changed. The variant is built once and
+// shared by every user.
 func (m *Manager) MarkInfected(cells []int) []int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -154,10 +156,10 @@ func (m *Manager) MarkInfected(cells []int) []int {
 	if !changed {
 		return nil
 	}
-	infected := m.infectedListLocked()
+	m.current = policygraph.IsolateNodes(m.defaultGraph, m.infectedListLocked())
 	users := make([]int, 0, len(m.users))
 	for id, up := range m.users {
-		up.Graph = policygraph.IsolateNodes(m.defaultGraph, infected)
+		up.Graph = m.current
 		up.Version++
 		users = append(users, id)
 	}

@@ -134,6 +134,80 @@ func TestManagerMarkInfected(t *testing.T) {
 	}
 }
 
+// TestManagerMarkInfectedSharesGraph pins that a wave builds the
+// contact-tracing graph once and hands every user the same pointer,
+// overwriting custom graphs given by Set as it always has.
+func TestManagerMarkInfectedSharesGraph(t *testing.T) {
+	grid := geo.MustGrid(6, 6, 1)
+	base := Baseline(grid)
+	m, _ := NewManager(grid, base, 1)
+	for u := range 5 {
+		m.Get(u)
+	}
+	if err := m.Set(3, policygraph.Complete(grid.NumCells(), nil), 2); err != nil {
+		t.Fatal(err)
+	}
+	infected := []int{7, 20}
+	if changed := m.MarkInfected(infected); len(changed) != 5 {
+		t.Fatalf("changed = %v, want all 5 users", changed)
+	}
+	want := policygraph.IsolateNodes(base, infected)
+	shared := m.Get(0).Graph
+	if !shared.Equal(want) {
+		t.Fatal("post-infection graph is not IsolateNodes(default, infected)")
+	}
+	for u := range 5 {
+		if g := m.Get(u).Graph; g != shared {
+			t.Errorf("user %d holds %p, not the shared graph %p", u, g, shared)
+		}
+	}
+	if late := m.Get(99).Graph; late != shared {
+		t.Error("a user created after the infection did not get the shared graph")
+	}
+	versions := map[int]int{}
+	for _, u := range m.Users() {
+		versions[u] = m.Version(u)
+	}
+	if again := m.MarkInfected(infected); again != nil {
+		t.Fatalf("no-op MarkInfected changed %v", again)
+	}
+	if g := m.Get(0).Graph; g != shared {
+		t.Error("no-op MarkInfected rebuilt the graph")
+	}
+	for u, v := range versions {
+		if m.Version(u) != v {
+			t.Errorf("no-op MarkInfected bumped user %d to v%d", u, m.Version(u))
+		}
+	}
+	if !base.Equal(Baseline(grid)) {
+		t.Error("MarkInfected modified the default graph")
+	}
+}
+
+// BenchmarkManagerMarkInfected times one infection wave over 1000 users:
+// each op infects a new cell, starting over on a fresh manager once
+// every cell is infected.
+func BenchmarkManagerMarkInfected(b *testing.B) {
+	grid := geo.MustGrid(32, 32, 1)
+	base := Baseline(grid)
+	var m *Manager
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cell := i % grid.NumCells()
+		if cell == 0 {
+			b.StopTimer()
+			m, _ = NewManager(grid, base, 1)
+			for u := range 1000 {
+				m.Get(u)
+			}
+			b.StartTimer()
+		}
+		if m.MarkInfected([]int{cell}) == nil {
+			b.Fatal("wave changed no user")
+		}
+	}
+}
+
 func TestManagerConcurrentAccess(t *testing.T) {
 	grid := geo.MustGrid(4, 4, 1)
 	m, _ := NewManager(grid, Baseline(grid), 1)

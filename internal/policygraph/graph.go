@@ -3,6 +3,7 @@ package policygraph
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // Graph is an undirected location policy graph over the node universe
@@ -11,10 +12,16 @@ import (
 // Nodes with no incident edges are "unprotected": the policy places no
 // indistinguishability requirement on them, so a mechanism may release them
 // exactly (paper §2.2, discussion after Lemma 2.1).
+//
+// A Graph is not safe for concurrent mutation, but any number of
+// goroutines may read it, MarshalJSON included, while nobody mutates it.
 type Graph struct {
 	n   int
 	adj []map[int]struct{}
 	m   int // edge count
+
+	// enc memoises MarshalJSON; every mutator clears it.
+	enc atomic.Pointer[[]byte]
 }
 
 // New returns an empty policy graph over n nodes.
@@ -60,6 +67,7 @@ func (g *Graph) AddEdge(u, v int) bool {
 	g.adj[u][v] = struct{}{}
 	g.adj[v][u] = struct{}{}
 	g.m++
+	g.dropEncoding()
 	return true
 }
 
@@ -74,6 +82,7 @@ func (g *Graph) RemoveEdge(u, v int) bool {
 	delete(g.adj[u], v)
 	delete(g.adj[v], u)
 	g.m--
+	g.dropEncoding()
 	return true
 }
 

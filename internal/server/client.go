@@ -317,7 +317,7 @@ func decodePolicy(p wire.Policy) (ClientPolicy, error) {
 	cp := ClientPolicy{User: p.User, Epsilon: p.Epsilon, Version: p.Version}
 	if len(p.Graph) > 0 {
 		var g policygraph.Graph
-		if err := json.Unmarshal(p.Graph, &g); err != nil {
+		if err := g.UnmarshalJSON(p.Graph); err != nil {
 			return ClientPolicy{}, fmt.Errorf("server client: decoding policy graph: %w", err)
 		}
 		cp.Graph = &g

@@ -160,6 +160,13 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
+// writeJSONBytes writes a body already encoded the way writeJSON would
+// encode it, trailing newline included.
+func writeJSONBytes(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(body)
+}
+
 // reportRequest is the wire form of a /v1 location report.
 type reportRequest struct {
 	User          int     `json:"user"`
@@ -197,28 +204,18 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// policyResponse is the wire form of a user policy. The graph is included
-// verbatim: publishing policy graphs is part of the transparency story.
-type policyResponse struct {
-	User    int             `json:"user"`
-	Epsilon float64         `json:"epsilon"`
-	Version int             `json:"version"`
-	Graph   json.RawMessage `json:"graph"`
-}
-
 func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
 	user, err := queryInt(r, "user")
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	up := s.mgr.Get(user)
-	graph, err := json.Marshal(up.Graph)
+	body, err := s.policyBody(user)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "encoding graph: %v", err)
 		return
 	}
-	writeJSON(w, policyResponse{User: user, Epsilon: up.Epsilon, Version: up.Version, Graph: graph})
+	writeJSONBytes(w, body)
 }
 
 type infectedRequest struct {

@@ -73,14 +73,38 @@ func (s *Server) v2StalePolicy(w http.ResponseWriter, user, gotVersion, curVersi
 	})
 }
 
-// wirePolicy assembles the wire form of a user's current policy.
+// wirePolicy assembles the wire form of a user's current policy. The
+// graph bytes are the graph's memoised encoding, shared by every user
+// on that graph: they are already compact, and must not be modified.
 func (s *Server) wirePolicy(user int) (wire.Policy, error) {
 	up := s.mgr.Get(user)
-	graph, err := json.Marshal(up.Graph)
+	graph, err := up.Graph.MarshalJSON()
 	if err != nil {
 		return wire.Policy{}, err
 	}
 	return wire.Policy{User: user, Epsilon: up.Epsilon, Version: up.Version, Graph: graph}, nil
+}
+
+// policyBody renders a user's policy response: the bytes writeJSON
+// would send for wirePolicy's result, but with the graph spliced in
+// verbatim instead of re-compacted by json.Encoder. Only the small
+// envelope goes through encoding/json.
+func (s *Server) policyBody(user int) ([]byte, error) {
+	pol, err := s.wirePolicy(user)
+	if err != nil {
+		return nil, err
+	}
+	graph := pol.Graph
+	pol.Graph = nil // omitempty: head is {"user":…,"epsilon":…,"version":…}
+	head, err := json.Marshal(pol)
+	if err != nil {
+		return nil, err
+	}
+	body := make([]byte, 0, len(head)+len(`,"graph":`)+len(graph)+len("}\n"))
+	body = append(body, head[:len(head)-1]...)
+	body = append(body, `,"graph":`...)
+	body = append(body, graph...)
+	return append(body, "}\n"...), nil
 }
 
 // handleV2Reports negotiates the batch-report encoding on Content-Type:
@@ -497,12 +521,12 @@ func (s *Server) handleV2Policy(w http.ResponseWriter, r *http.Request) {
 		v2Error(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
-	pol, err := s.wirePolicy(user)
+	body, err := s.policyBody(user)
 	if err != nil {
 		v2Error(w, http.StatusInternalServerError, wire.CodeInternal, "encoding graph: %v", err)
 		return
 	}
-	writeJSON(w, pol)
+	writeJSONBytes(w, body)
 }
 
 func (s *Server) handleV2Infected(w http.ResponseWriter, r *http.Request) {
