@@ -294,6 +294,7 @@ func startLoadTarget(cfg loadConfig) (base string, walStore *wal.Store, cleanup 
 
 // ingestResult summarizes one ingest pass.
 type ingestResult struct {
+	start   time.Time // when the timed window opened, after every warmup
 	elapsed time.Duration
 	// mallocs is the process-wide heap allocation count over the pass
 	// (drain wait included) — with an in-process server that is the full
@@ -303,7 +304,9 @@ type ingestResult struct {
 
 // runIngestPhase drives one full ingest pass (all users, all batches,
 // plus the drain wait in async mode) under the chosen encoding and
-// reports its duration and allocation count.
+// reports its duration and allocation count. Every user first warms its
+// policy cache; the clock and the malloc window start only once all
+// warmups are done, so neither counts the policy-fetch storm.
 func runIngestPhase(cfg loadConfig, base string, hc *http.Client, binary bool) (ingestResult, error) {
 	encoding := "json"
 	if binary {
@@ -313,18 +316,17 @@ func runIngestPhase(cfg loadConfig, base string, hc *http.Client, binary bool) (
 		cfg.users, cfg.steps, cfg.batch, encoding)
 	var (
 		wg        sync.WaitGroup
+		warm      sync.WaitGroup // the warmups, all done before the clock starts
+		begin     = make(chan struct{})
 		ingestLat latencyRecorder
 		errOnce   sync.Once
 		firstErr  error
 	)
 	fail := func(err error) { errOnce.Do(func() { firstErr = err }) }
 	ctx := context.Background()
-	var ms0, ms1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms0)
-	start := time.Now()
 	for u := 0; u < cfg.users; u++ {
 		wg.Add(1)
+		warm.Add(1)
 		go func(user int) {
 			defer wg.Done()
 			client := server.NewClient(base, hc)
@@ -332,10 +334,13 @@ func runIngestPhase(cfg loadConfig, base string, hc *http.Client, binary bool) (
 			// carries a GET /v2/policy (a whole policy-graph marshal),
 			// and under the initial burst that fetch storm — identical
 			// in sync and async mode — would dominate the percentiles.
-			if _, err := client.PolicyContext(ctx, user); err != nil {
+			_, err := client.PolicyContext(ctx, user)
+			warm.Done()
+			if err != nil {
 				fail(fmt.Errorf("user %d policy warmup: %w", user, err))
 				return
 			}
+			<-begin
 			rng := rand.New(rand.NewPCG(uint64(user), 42))
 			for t0 := 0; t0 < cfg.steps; t0 += cfg.batch {
 				n := cfg.batch
@@ -378,6 +383,12 @@ func runIngestPhase(cfg loadConfig, base string, hc *http.Client, binary bool) (
 			}
 		}(u)
 	}
+	warm.Wait()
+	var ms0, ms1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms0)
+	start := time.Now()
+	close(begin)
 	wg.Wait()
 	elapsed := time.Since(start)
 	if firstErr != nil {
@@ -397,7 +408,7 @@ func runIngestPhase(cfg loadConfig, base string, hc *http.Client, binary bool) (
 		}
 	}
 	runtime.ReadMemStats(&ms1)
-	return ingestResult{elapsed: elapsed, mallocs: ms1.Mallocs - ms0.Mallocs}, nil
+	return ingestResult{start: start, elapsed: elapsed, mallocs: ms1.Mallocs - ms0.Mallocs}, nil
 }
 
 // awaitDrain waits for the async ingest queue (or, through the router,

@@ -119,6 +119,9 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 	if err != nil {
 		return err
 	}
+	if err := policygraph.CheckGrid(grid); err != nil {
+		return err
+	}
 	var g *policygraph.Graph
 	switch *polFlg {
 	case "baseline":

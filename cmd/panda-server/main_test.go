@@ -236,6 +236,18 @@ func TestBadFlags(t *testing.T) {
 	}
 }
 
+// TestOversizedGridRefused: a grid with more cells than a client may
+// decode fails at start-up, before a policy graph is built, so the
+// server never publishes a graph its clients refuse.
+func TestOversizedGridRefused(t *testing.T) {
+	for _, dims := range [][2]string{{"2049", "2048"}, {"4294967296", "4294967296"}} {
+		args := []string{"-addr", "127.0.0.1:0", "-rows", dims[0], "-cols", dims[1]}
+		if err := run(context.Background(), args, nil); err == nil || !strings.Contains(err.Error(), "MaxNodes") {
+			t.Errorf("run(%v): error %v, want the MaxNodes refusal", args, err)
+		}
+	}
+}
+
 // TestRemovedLayoutsRefused: a -data-dir in a removed format — a kv
 // (LSM) backend directory or a pre-stripe single log — fails before
 // serving, with an error naming the files found, and is left

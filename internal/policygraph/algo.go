@@ -21,10 +21,10 @@ func (g *Graph) DistancesFrom(s int) []int {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for v := range g.adj[u] {
+		for _, v := range g.adj[u] {
 			if dist[v] == Unreachable {
 				dist[v] = dist[u] + 1
-				queue = append(queue, v)
+				queue = append(queue, int(v))
 			}
 		}
 	}
@@ -50,7 +50,8 @@ func (g *Graph) Distance(u, v int) int {
 		}
 		var next []int
 		for _, x := range qu {
-			for y := range g.adj[x] {
+			for _, v := range g.adj[x] {
+				y := int(v)
 				if d, met := dv[y]; met {
 					return du[x] + 1 + d
 				}
@@ -81,7 +82,8 @@ func (g *Graph) KNeighbors(s, k int) []int {
 		if dist[u] == k {
 			continue
 		}
-		for v := range g.adj[u] {
+		for _, nb := range g.adj[u] {
+			v := int(nb)
 			if _, seen := dist[v]; !seen {
 				dist[v] = dist[u] + 1
 				queue = append(queue, v)
@@ -102,7 +104,8 @@ func (g *Graph) ComponentOf(s int) []int {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for v := range g.adj[u] {
+		for _, nb := range g.adj[u] {
+			v := int(nb)
 			if !seen[v] {
 				seen[v] = true
 				queue = append(queue, v)
@@ -117,43 +120,43 @@ func (g *Graph) ComponentOf(s int) []int {
 // Components returns all connected components, each sorted, ordered by
 // their smallest node.
 func (g *Graph) Components() [][]int {
-	seen := make([]bool, g.n)
 	var comps [][]int
-	for s := 0; s < g.n; s++ {
-		if seen[s] {
-			continue
+	// Scanning nodes in ascending order meets each component first at
+	// its smallest node, with the next unused index, and appends its
+	// members in ascending order.
+	for u, ci := range g.ComponentIndex() {
+		if ci == len(comps) {
+			comps = append(comps, nil)
 		}
-		comp := []int{s}
-		seen[s] = true
-		queue := []int{s}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for v := range g.adj[u] {
-				if !seen[v] {
-					seen[v] = true
-					queue = append(queue, v)
-					comp = append(comp, v)
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
+		comps[ci] = append(comps[ci], u)
 	}
 	return comps
 }
 
 // ComponentIndex labels every node with the index of its component in the
-// order returned by Components.
+// order returned by Components, in one BFS over the graph.
 func (g *Graph) ComponentIndex() []int {
 	idx := make([]int, g.n)
 	for i := range idx {
 		idx[i] = -1
 	}
-	for ci, comp := range g.Components() {
-		for _, u := range comp {
-			idx[u] = ci
+	var queue []int32
+	ci := 0
+	for s := range g.n {
+		if idx[s] >= 0 {
+			continue
 		}
+		idx[s] = ci
+		queue = append(queue[:0], int32(s))
+		for head := 0; head < len(queue); head++ {
+			for _, v := range g.adj[queue[head]] {
+				if idx[v] < 0 {
+					idx[v] = ci
+					queue = append(queue, v)
+				}
+			}
+		}
+		ci++
 	}
 	return idx
 }
@@ -172,8 +175,8 @@ func (g *Graph) IsConnected() bool {
 // for edgeless graphs.
 func (g *Graph) Diameter() int {
 	best := 0
-	for u := 0; u < g.n; u++ {
-		if len(g.adj[u]) == 0 {
+	for u, nb := range g.adj {
+		if len(nb) == 0 {
 			continue
 		}
 		for _, d := range g.DistancesFrom(u) {
@@ -199,8 +202,8 @@ func (g *Graph) AllDistances() [][]int {
 // DegreeHistogram returns a map from degree to node count.
 func (g *Graph) DegreeHistogram() map[int]int {
 	h := make(map[int]int)
-	for u := 0; u < g.n; u++ {
-		h[len(g.adj[u])]++
+	for _, nb := range g.adj {
+		h[len(nb)]++
 	}
 	return h
 }

@@ -2,11 +2,11 @@ package policygraph
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"strconv"
 )
 
@@ -46,24 +46,16 @@ func (g *Graph) dropEncoding() {
 	}
 }
 
-// appendJSON appends the wire form of g to b. Sorting each node's
-// neighbours above it yields the edges in Edges() order without
-// materialising or globally sorting the edge list.
+// appendJSON appends the wire form of g to b. Walking each node's
+// ascending neighbours above it yields the edges in Edges() order
+// without materialising the edge list.
 func (g *Graph) appendJSON(b []byte) []byte {
 	b = append(b, `{"nodes":`...)
 	b = strconv.AppendInt(b, int64(g.n), 10)
 	b = append(b, `,"edges":[`...)
-	var above []int
 	sep := false
-	for u := 0; u < g.n; u++ {
-		above = above[:0]
-		for v := range g.adj[u] {
-			if v > u {
-				above = append(above, v)
-			}
-		}
-		slices.Sort(above)
-		for _, v := range above {
+	for u := range g.n {
+		for _, v := range g.above(u) {
 			if sep {
 				b = append(b, ',')
 			}
@@ -102,8 +94,8 @@ func decodeReflect(data []byte) (*Graph, error) {
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, err
 	}
-	if w.Nodes < 0 {
-		return nil, fmt.Errorf("policygraph: negative node count %d", w.Nodes)
+	if err := checkNodes(w.Nodes); err != nil {
+		return nil, err
 	}
 	g := New(w.Nodes)
 	for _, e := range w.Edges {
@@ -113,6 +105,18 @@ func decodeReflect(data []byte) (*Graph, error) {
 		g.AddEdge(e[0], e[1])
 	}
 	return g, nil
+}
+
+// checkNodes refuses a node count no graph may have, before anything
+// of that size is allocated.
+func checkNodes(n int) error {
+	if n < 0 {
+		return fmt.Errorf("policygraph: negative node count %d", n)
+	}
+	if n > MaxNodes {
+		return fmt.Errorf("policygraph: node count %d above MaxNodes (%d)", n, MaxNodes)
+	}
+	return nil
 }
 
 func checkEdge(e [2]int, n int) error {
@@ -136,7 +140,8 @@ var errNotFast = errors.New("policygraph: not the canonical graph form")
 // keys, null, short or long edge arrays), returns errNotFast so that
 // decodeReflect decides. Inputs it does parse get decodeReflect's errors:
 // the range and self-loop checks run in edge order and the first failure
-// is reported once the whole input has parsed.
+// is reported once the whole input has parsed. The edges are collected
+// in one buffer and handed to fromEdges.
 func decodeFast(data []byte) (*Graph, error) {
 	p := parser{b: data}
 	if !p.char('{') || !p.lit(`"nodes"`) || !p.char(':') {
@@ -146,12 +151,11 @@ func decodeFast(data []byte) (*Graph, error) {
 	if !ok || !p.char(',') || !p.lit(`"edges"`) || !p.char(':') || !p.char('[') {
 		return nil, errNotFast
 	}
-	var g *Graph
-	var bad error
-	if n < 0 {
-		bad = fmt.Errorf("policygraph: negative node count %d", n)
-	} else {
-		g = New(n)
+	bad := checkNodes(n)
+	var flat []int32
+	if bad == nil {
+		// Every edge opens with '[', so this bounds the edge count.
+		flat = make([]int32, 0, 2*bytes.Count(p.b[p.i:], []byte{'['}))
 	}
 	if !p.char(']') {
 		for {
@@ -168,7 +172,7 @@ func decodeFast(data []byte) (*Graph, error) {
 			}
 			if bad == nil {
 				if bad = checkEdge([2]int{u, v}, n); bad == nil {
-					g.AddEdge(u, v)
+					flat = append(flat, int32(u), int32(v))
 				}
 			}
 			if p.char(']') {
@@ -189,7 +193,7 @@ func decodeFast(data []byte) (*Graph, error) {
 	if bad != nil {
 		return nil, bad
 	}
-	return g, nil
+	return fromEdges(n, flat), nil
 }
 
 // parser is decodeFast's cursor over the input.

@@ -60,6 +60,11 @@ func FuzzGraphJSON(f *testing.F) {
 		`{"nodes":3,"edges":[[2,2],[0,9]]}`,
 		`{"nodes":3,"edges":[[0,9]],"x"}`,
 		`{"nodes":-2,"edges":[[0,1]]}`,
+		// Hostile node counts: refused before allocating, by both decoders.
+		`{"nodes":4000000000,"edges":[]}`,
+		`{"nodes":100000000000000000,"edges":[]}`,
+		`{"edges":[],"nodes":100000000000000000}`,
+		`{"nodes":4194305,"edges":[[0,1]]}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -108,11 +113,11 @@ func FuzzGraphJSON(f *testing.F) {
 	})
 }
 
-// allocatesHuge reports whether data holds a decimal integer that fits
-// an int but is above 1<<16. Such a node count is valid and both
+// allocatesHuge reports whether data holds a decimal integer above
+// 1<<16 but at most MaxNodes. Such a node count is valid and both
 // decoders would allocate an adjacency slice that large; the fuzzer
-// skips those inputs rather than exhaust memory. Integers too large for
-// an int are kept: both decoders reject them without allocating.
+// skips those inputs rather than spend its time allocating. Larger
+// integers are kept: both decoders reject them without allocating.
 func allocatesHuge(data []byte) bool {
 	for i := 0; i < len(data); {
 		j := i
@@ -123,7 +128,7 @@ func allocatesHuge(data []byte) bool {
 			i++
 			continue
 		}
-		if v, err := strconv.Atoi(string(data[i:j])); err == nil && v > 1<<16 {
+		if v, err := strconv.Atoi(string(data[i:j])); err == nil && v > 1<<16 && v <= MaxNodes {
 			return true
 		}
 		i = j

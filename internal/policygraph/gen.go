@@ -1,10 +1,20 @@
 package policygraph
 
 import (
+	"fmt"
 	"math/rand/v2"
 
 	"github.com/pglp/panda/internal/geo"
 )
+
+// CheckGrid refuses a grid with more cells than MaxNodes: policy graphs
+// over it would be refused by every client's decoder.
+func CheckGrid(grid *geo.Grid) error {
+	if grid.Cols > 0 && grid.Rows > MaxNodes/grid.Cols {
+		return fmt.Errorf("policygraph: a %dx%d grid has more than MaxNodes (%d) cells", grid.Rows, grid.Cols, MaxNodes)
+	}
+	return nil
+}
 
 // GridEightNeighbor builds policy graph G1 of paper Fig. 2: every cell is
 // connected to its closest eight cells on the map. PGLP under G1 implies

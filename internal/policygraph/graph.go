@@ -2,9 +2,17 @@ package policygraph
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"sync/atomic"
 )
+
+// MaxNodes is the largest node universe a policy graph may have: a
+// 2048×2048 grid. The decoders refuse a larger node count before
+// allocating anything, so a hostile policy body cannot exhaust a
+// client's memory, and servers refuse to start on a larger grid, so they
+// never publish a graph their clients would refuse.
+const MaxNodes = 1 << 22
 
 // Graph is an undirected location policy graph over the node universe
 // {0, …, n-1}. The zero value is not usable; construct with New.
@@ -13,23 +21,75 @@ import (
 // indistinguishability requirement on them, so a mechanism may release them
 // exactly (paper §2.2, discussion after Lemma 2.1).
 //
+// Each node's neighbours are held as a strictly ascending []int32, so
+// the node space is that of an int32 and a graph holds no maps; every
+// accessor that walks neighbours, VisitNeighbors included, does so in
+// ascending order. Decoded graphs have at most MaxNodes nodes.
+//
 // A Graph is not safe for concurrent mutation, but any number of
 // goroutines may read it, MarshalJSON included, while nobody mutates it.
 type Graph struct {
-	n   int
-	adj []map[int]struct{}
+	n int
+	// adj[u] is u's strictly ascending neighbour list. Lists carved from
+	// one backing array (Clone, fromEdges) have their capacity clipped to
+	// their length, so growing one list never writes into the next.
+	adj [][]int32
 	m   int // edge count
 
 	// enc memoises MarshalJSON; every mutator clears it.
 	enc atomic.Pointer[[]byte]
 }
 
-// New returns an empty policy graph over n nodes.
+// New returns an empty policy graph over n nodes. It panics if n does
+// not fit the int32 node space.
 func New(n int) *Graph {
 	if n < 0 {
 		n = 0
 	}
-	return &Graph{n: n, adj: make([]map[int]struct{}, n)}
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("policygraph: %d nodes exceed the int32 node space", n))
+	}
+	return &Graph{n: n, adj: make([][]int32, n)}
+}
+
+// fromEdges returns the graph over n nodes that New(n) followed by
+// AddEdge on each pair (flat[2i], flat[2i+1]) in turn builds: duplicate
+// and reversed pairs collapse, self-loops are skipped. Every node must
+// be in range. All neighbour lists are carved from one backing array.
+func fromEdges(n int, flat []int32) *Graph {
+	g := New(n)
+	// pos[u+1] counts u's incidences; the prefix sum makes pos[u] the
+	// start of u's list, and filling advances it to the list's end.
+	pos := make([]int, n+1)
+	for i := 0; i+1 < len(flat); i += 2 {
+		if u, v := flat[i], flat[i+1]; u != v {
+			pos[u+1]++
+			pos[v+1]++
+		}
+	}
+	for u := range n {
+		pos[u+1] += pos[u]
+	}
+	nbr := make([]int32, pos[n])
+	for i := 0; i+1 < len(flat); i += 2 {
+		if u, v := flat[i], flat[i+1]; u != v {
+			nbr[pos[u]] = v
+			pos[u]++
+			nbr[pos[v]] = u
+			pos[v]++
+		}
+	}
+	start := 0
+	for u := range n {
+		list := nbr[start:pos[u]]
+		start = pos[u]
+		slices.Sort(list)
+		list = slices.Compact(list)
+		g.adj[u] = list[:len(list):len(list)]
+		g.m += len(list)
+	}
+	g.m /= 2
+	return g
 }
 
 // NumNodes returns the size of the node universe.
@@ -55,17 +115,13 @@ func (g *Graph) AddEdge(u, v int) bool {
 	if u == v {
 		return false
 	}
-	if g.adj[u] == nil {
-		g.adj[u] = make(map[int]struct{})
-	}
-	if g.adj[v] == nil {
-		g.adj[v] = make(map[int]struct{})
-	}
-	if _, dup := g.adj[u][v]; dup {
+	i, dup := slices.BinarySearch(g.adj[u], int32(v))
+	if dup {
 		return false
 	}
-	g.adj[u][v] = struct{}{}
-	g.adj[v][u] = struct{}{}
+	g.adj[u] = slices.Insert(g.adj[u], i, int32(v))
+	j, _ := slices.BinarySearch(g.adj[v], int32(u))
+	g.adj[v] = slices.Insert(g.adj[v], j, int32(u))
 	g.m++
 	g.dropEncoding()
 	return true
@@ -76,11 +132,13 @@ func (g *Graph) AddEdge(u, v int) bool {
 func (g *Graph) RemoveEdge(u, v int) bool {
 	g.check(u)
 	g.check(v)
-	if _, ok := g.adj[u][v]; !ok {
+	i, ok := slices.BinarySearch(g.adj[u], int32(v))
+	if !ok {
 		return false
 	}
-	delete(g.adj[u], v)
-	delete(g.adj[v], u)
+	g.adj[u] = slices.Delete(g.adj[u], i, i+1)
+	j, _ := slices.BinarySearch(g.adj[v], int32(u))
+	g.adj[v] = slices.Delete(g.adj[v], j, j+1)
 	g.m--
 	g.dropEncoding()
 	return true
@@ -90,7 +148,7 @@ func (g *Graph) RemoveEdge(u, v int) bool {
 func (g *Graph) HasEdge(u, v int) bool {
 	g.check(u)
 	g.check(v)
-	_, ok := g.adj[u][v]
+	_, ok := slices.BinarySearch(g.adj[u], int32(v))
 	return ok
 }
 
@@ -103,40 +161,38 @@ func (g *Graph) Degree(u int) int {
 // Neighbors returns the sorted neighbor list of u (a fresh slice).
 func (g *Graph) Neighbors(u int) []int {
 	g.check(u)
-	out := make([]int, 0, len(g.adj[u]))
-	for v := range g.adj[u] {
-		out = append(out, v)
+	out := make([]int, len(g.adj[u]))
+	for i, v := range g.adj[u] {
+		out[i] = int(v)
 	}
-	sort.Ints(out)
 	return out
 }
 
-// VisitNeighbors calls fn for each neighbor of u in unspecified order.
+// VisitNeighbors calls fn for each neighbor of u in ascending order.
 // It avoids the allocation of Neighbors for hot paths.
 func (g *Graph) VisitNeighbors(u int, fn func(v int)) {
 	g.check(u)
-	for v := range g.adj[u] {
-		fn(v)
+	for _, v := range g.adj[u] {
+		fn(int(v))
 	}
+}
+
+// above returns u's neighbours greater than u: each edge is listed once,
+// from its lower end, by walking above(u) for every u.
+func (g *Graph) above(u int) []int32 {
+	i, _ := slices.BinarySearch(g.adj[u], int32(u))
+	return g.adj[u][i:]
 }
 
 // Edges returns all edges as (u, v) pairs with u < v, sorted
 // lexicographically.
 func (g *Graph) Edges() [][2]int {
 	out := make([][2]int, 0, g.m)
-	for u := 0; u < g.n; u++ {
-		for v := range g.adj[u] {
-			if u < v {
-				out = append(out, [2]int{u, v})
-			}
+	for u := range g.n {
+		for _, v := range g.above(u) {
+			out = append(out, [2]int{u, int(v)})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
 	return out
 }
 
@@ -144,23 +200,24 @@ func (g *Graph) Edges() [][2]int {
 // the policy allows to be disclosed exactly.
 func (g *Graph) IsolatedNodes() []int {
 	var out []int
-	for u := 0; u < g.n; u++ {
-		if len(g.adj[u]) == 0 {
+	for u, nb := range g.adj {
+		if len(nb) == 0 {
 			out = append(out, u)
 		}
 	}
 	return out
 }
 
-// Clone returns a deep copy of g.
+// Clone returns a deep copy of g, its neighbour lists carved from one
+// backing array.
 func (g *Graph) Clone() *Graph {
 	c := New(g.n)
-	for u := 0; u < g.n; u++ {
-		for v := range g.adj[u] {
-			if u < v {
-				c.AddEdge(u, v)
-			}
-		}
+	c.m = g.m
+	flat := make([]int32, 2*g.m)
+	for u, nb := range g.adj {
+		k := copy(flat, nb)
+		c.adj[u] = flat[:k:k]
+		flat = flat[k:]
 	}
 	return c
 }
@@ -170,14 +227,9 @@ func (g *Graph) Equal(h *Graph) bool {
 	if h == nil || g.n != h.n || g.m != h.m {
 		return false
 	}
-	for u := 0; u < g.n; u++ {
-		if len(g.adj[u]) != len(h.adj[u]) {
+	for u, nb := range g.adj {
+		if !slices.Equal(nb, h.adj[u]) {
 			return false
-		}
-		for v := range g.adj[u] {
-			if _, ok := h.adj[u][v]; !ok {
-				return false
-			}
 		}
 	}
 	return true
@@ -195,13 +247,13 @@ func (g *Graph) InducedSubgraph(keep []int) *Graph {
 		}
 	}
 	c := New(g.n)
-	for u := 0; u < g.n; u++ {
+	for u := range g.n {
 		if !in[u] {
 			continue
 		}
-		for v := range g.adj[u] {
-			if u < v && in[v] {
-				c.AddEdge(u, v)
+		for _, v := range g.above(u) {
+			if in[v] {
+				c.AddEdge(u, int(v))
 			}
 		}
 	}
@@ -215,11 +267,9 @@ func (g *Graph) Union(h *Graph) (*Graph, error) {
 		return nil, fmt.Errorf("policygraph: union of mismatched universes %d vs %d", g.n, h.n)
 	}
 	c := g.Clone()
-	for u := 0; u < h.n; u++ {
-		for v := range h.adj[u] {
-			if u < v {
-				c.AddEdge(u, v)
-			}
+	for u := range h.n {
+		for _, v := range h.above(u) {
+			c.AddEdge(u, int(v))
 		}
 	}
 	return c, nil

@@ -288,6 +288,10 @@ func retryAfterHeader(h http.Header) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
+// rawResponse receives a 2xx response body verbatim: decodeResponse
+// reads it whole instead of JSON-decoding it.
+type rawResponse []byte
+
 func decodeResponse(resp *http.Response, out any) error {
 	if resp.StatusCode >= 300 {
 		// Generous cap: a stale_policy envelope carries a whole policy
@@ -297,6 +301,14 @@ func decodeResponse(resp *http.Response, out any) error {
 		return apiErrorFromResponse(resp, body)
 	}
 	if out == nil {
+		return nil
+	}
+	if raw, ok := out.(*rawResponse); ok {
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return fmt.Errorf("server client: reading response: %w", err)
+		}
+		*raw = b
 		return nil
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
@@ -333,11 +345,11 @@ func (c *Client) Policy(user int) (ClientPolicy, error) {
 
 // PolicyContext is Policy under an explicit context.
 func (c *Client) PolicyContext(ctx context.Context, user int) (ClientPolicy, error) {
-	var raw wire.Policy
-	if err := c.get(ctx, fmt.Sprintf("/v2/policy?user=%d", user), &raw); err != nil {
+	var body rawResponse
+	if err := c.get(ctx, fmt.Sprintf("/v2/policy?user=%d", user), &body); err != nil {
 		return ClientPolicy{}, err
 	}
-	cp, err := decodePolicy(raw)
+	cp, err := decodePolicyBody(body)
 	if err != nil {
 		return ClientPolicy{}, err
 	}

@@ -74,7 +74,8 @@ const (
 // Options configures a surveillance system.
 type Options struct {
 	// Rows, Cols, CellSize define the map grid; locations are cell IDs in
-	// [0, Rows*Cols).
+	// [0, Rows*Cols). NewSystem refuses a grid of more than 1<<22 cells,
+	// the largest policy graph a client decodes.
 	Rows, Cols int
 	CellSize   float64
 	// Epsilon is the default per-release privacy level.
@@ -149,6 +150,9 @@ type System struct {
 func NewSystem(o Options) (*System, error) {
 	grid, err := geo.NewGrid(o.Rows, o.Cols, o.CellSize)
 	if err != nil {
+		return nil, err
+	}
+	if err := policygraph.CheckGrid(grid); err != nil {
 		return nil, err
 	}
 	g := policy.Baseline(grid)

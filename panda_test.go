@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -24,6 +25,20 @@ func TestNewSystemValidation(t *testing.T) {
 	}
 	if sys.NumCells() != 64 {
 		t.Errorf("NumCells = %d", sys.NumCells())
+	}
+}
+
+// TestNewSystemRefusesOversizedGrid: a grid with more cells than a
+// client may decode is refused before any policy graph is built,
+// including one whose cell count overflows an int.
+func TestNewSystemRefusesOversizedGrid(t *testing.T) {
+	for _, o := range []Options{
+		{Rows: 2049, Cols: 2048, CellSize: 1, Epsilon: 1},
+		{Rows: 1 << 40, Cols: 1 << 40, CellSize: 1, Epsilon: 1},
+	} {
+		if _, err := NewSystem(o); err == nil || !strings.Contains(err.Error(), "MaxNodes") {
+			t.Errorf("NewSystem(%dx%d): error %v, want the MaxNodes refusal", o.Rows, o.Cols, err)
+		}
 	}
 }
 
